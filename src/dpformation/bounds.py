@@ -1,10 +1,10 @@
-"""Steady-state-error bounds, the exact covariance oracle, and privacy
+"""Steady-state-error bounds, the exact spectral oracle, and privacy
 threshold calculators.
 
 The central quantity is the steady-state network-average squared deviation
 e_ss of the noisy consensus dynamics. Three routes to it live here:
 
-* an exact oracle (stationary solution of the projected Lyapunov recursion),
+* an exact oracle, closed form on the graph's cached Laplacian spectrum,
 * the Kemeny-constant sandwich lower/upper bounds, and
 * the closed-form upper bound in terms of gamma, lambda2, N, and the privacy
   noise coefficient kappa, plus its inversion into minimum-epsilon design
@@ -22,49 +22,36 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import graphs, privacy
+from . import dynamics, graphs, privacy
 from .graphs import PerronMatrix, WeightedGraph
 
 
-def exact_ess_oracle(p: PerronMatrix, z_diag) -> float:
-    """Exact steady-state error by iterating the deviation covariance.
+def exact_ess_oracle(p: PerronMatrix, noise) -> float:
+    """Exact steady-state error of xbar(k+1) = P xbar(k) + z(k).
 
-    With Q the projector removing the network mean, the deviation e = Q xbar
-    has covariance S(k+1) = (QPQ) S(k) (QPQ) + Q Z Q. The spectral radius of
-    QPQ is 1 - gamma*lambda2 < 1, so the iteration converges; the result is
-    trace(S_inf) / N.
+    noise is Cov[z]: a full N x N matrix C, or its diagonal (a length-N
+    vector or a scalar) for independent perturbations. With L = U diag(lambda)
+    U^T, deviation mode i >= 2 settles at variance (U^T C U)_ii / a_i with
+    a_i = 1 - mu_i^2 (Xiao, Boyd & Kim 2007), so
+    e_ss = (1/N) * sum_{i>=2} (U^T C U)_ii / a_i.
     """
-    n = p.n
-    z_diag = np.broadcast_to(np.asarray(z_diag, dtype=float), (n,))
-    q = np.eye(n) - np.full((n, n), 1.0 / n)
-    qpq = q @ p.matrix @ q
-    qzq = q @ np.diag(z_diag) @ q
-    s = np.zeros((n, n))
-    prev_trace = 0.0
-    for _ in range(10**6):
-        s = qpq @ s @ qpq + qzq
-        tr = float(np.trace(s))
-        if abs(tr - prev_trace) <= 1e-13 * max(tr, 1e-300):
-            return tr / n
-        if not math.isfinite(tr):
-            break
-        prev_trace = tr
-    raise graphs.NumericalError(
-        "covariance iteration did not converge; step-size conditions "
-        "are likely violated"
-    )
+    c = np.asarray(noise, dtype=float)
+    if c.ndim < 2:
+        c = np.diag(np.broadcast_to(c, (p.n,)))
+    u = p.graph.spectrum[1][:, 1:]
+    modal = np.sum(u * (c @ u), axis=0)
+    return float(np.sum(modal / p.mode_gaps) / p.n)
 
 
 def lemma7_sandwich(p: PerronMatrix, z_diag) -> tuple:
     """Kemeny sandwich on e_ss for i.i.d. diagonal noise.
 
     Returns (min_i s_i^2 pi_i, max_i s_i^2 pi_i) scaled by the Kemeny
-    constant of the two-step chain P^2.
+    constant of the two-step chain P^2, sum_{i>=2} 1 / (1 - mu_i^2).
     """
     z_diag = np.broadcast_to(np.asarray(z_diag, dtype=float), (p.n,))
-    pi = graphs.stationary_distribution(p)
-    k2 = graphs.kemeny_constant(p.matrix @ p.matrix)
-    weighted = z_diag * pi
+    k2 = float(np.sum(1.0 / p.mode_gaps))
+    weighted = z_diag * graphs.stationary_distribution(p)
     return float(weighted.min() * k2), float(weighted.max() * k2)
 
 
@@ -104,12 +91,15 @@ def theorem1_bound(g: WeightedGraph, gamma: float, params) -> float:
     params is one PrivacyParams (homogeneous) or a sequence of N of them.
     Validates the step-size conditions by building the transition matrix.
     """
-    graphs.build_perron(g, gamma)
+    return _theorem1(graphs.build_perron(g, gamma), params)
+
+
+def _theorem1(p: PerronMatrix, params) -> float:
     if isinstance(params, privacy.PrivacyParams):
         params = [params]
-    worst = max(p.kappa**2 * p.b**2 for p in params)
-    lam2 = graphs.algebraic_connectivity(g)
-    n = g.n
+    worst = max(q.kappa**2 * q.b**2 for q in params)
+    lam2 = graphs.algebraic_connectivity(p.graph)
+    n, gamma = p.n, p.gamma
     return (gamma * (n - 1) ** 2 * worst
             / (n * lam2 * (2.0 - gamma * lam2)))
 
@@ -246,28 +236,23 @@ class BoundReport:
     theorem1_upper: float
     corollary1_upper: float | None
     exact_ess: float
-    gamma_valid: bool
 
 
 def bound_report(g: WeightedGraph, gamma: float, params) -> BoundReport:
     """Exact oracle value plus all bounds for a graph and privacy setup.
 
-    params is one PrivacyParams (homogeneous, enables the simplified bound)
-    or a sequence of N of them.
+    params is one PrivacyParams or a sequence of N of them; when all N are
+    equal the simplified homogeneous bound is reported too.
     """
     p = graphs.build_perron(g, gamma)
-    homogeneous = isinstance(params, privacy.PrivacyParams)
-    plist = [params] * g.n if homogeneous else list(params)
+    plist = ([params] * g.n if isinstance(params, privacy.PrivacyParams)
+             else list(params))
     sigmas = np.array([privacy.noise_scale(q) for q in plist])
-
-    from .dynamics import noise_covariance_diag
-    z_diag = noise_covariance_diag(p, sigmas)
+    z_diag = dynamics.noise_covariance_diag(p, sigmas)
     lo, hi = lemma7_sandwich(p, z_diag)
-    t1 = theorem1_bound(g, gamma, plist)
-    c1 = None
-    if homogeneous:
-        c1 = corollary1_bound(params.epsilon,
-                              graphs.algebraic_connectivity(g),
-                              n_agents=g.n, gamma=gamma, b=params.b,
-                              delta=params.delta)
-    return BoundReport(lo, hi, t1, c1, exact_ess_oracle(p, z_diag), True)
+    q = plist[0]
+    c1 = (corollary1_bound(q.epsilon, graphs.algebraic_connectivity(g),
+                           n_agents=g.n, gamma=gamma, b=q.b, delta=q.delta)
+          if all(r == q for r in plist) else None)
+    return BoundReport(lo, hi, _theorem1(p, plist), c1,
+                       exact_ess_oracle(p, z_diag))

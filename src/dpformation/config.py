@@ -38,7 +38,6 @@ class RunConfig:
     master_seed: int
     privacy_params: tuple       # one PrivacyParams per agent
     formation: FormationSpec
-    jobs: int = 1
 
     def __post_init__(self):
         if len(self.privacy_params) != self.graph.n:
@@ -62,7 +61,15 @@ class RunConfig:
         return graphs.build_perron(self.graph, self.gamma)
 
 
+def _check_keys(spec: dict, allowed: tuple, where: str) -> None:
+    for key in spec:
+        if key not in allowed:
+            raise ConfigError(f"unknown config key {key!r} in {where} "
+                              f"(allowed: {', '.join(allowed)})")
+
+
 def parse_graph(spec: dict) -> WeightedGraph:
+    _check_keys(spec, ("kind", "n", "w", "nodes", "edges"), "graph")
     if "kind" in spec:
         return graphs.build_standard_topology(
             spec["kind"], int(spec["n"]), float(spec.get("w", 1.0)))
@@ -75,6 +82,7 @@ def parse_graph(spec: dict) -> WeightedGraph:
 
 def parse_privacy(spec, n: int) -> tuple:
     def one(d):
+        _check_keys(d, ("epsilon", "delta", "b"), "privacy")
         return privacy.PrivacyParams(float(d["epsilon"]), float(d["delta"]),
                                      float(d["b"]))
     if isinstance(spec, dict):
@@ -87,7 +95,10 @@ def parse_privacy(spec, n: int) -> tuple:
 
 
 def from_mapping(data: dict) -> RunConfig:
+    _check_keys(data, ("graph", "gamma", "horizon", "trials", "seed",
+                       "privacy", "formation"), "the config")
     try:
+        _check_keys(data["formation"], ("anchors",), "formation")
         g = parse_graph(data["graph"])
         return RunConfig(
             graph=g,
@@ -98,7 +109,6 @@ def from_mapping(data: dict) -> RunConfig:
             privacy_params=parse_privacy(data["privacy"], g.n),
             formation=FormationSpec(np.asarray(data["formation"]["anchors"],
                                                dtype=float)),
-            jobs=int(data.get("jobs", 1)),
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None

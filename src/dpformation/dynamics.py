@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .graphs import PerronMatrix, WeightedGraph
 
 
@@ -161,9 +162,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
       and the z_i of agents sharing a neighbor are correlated.
     * "network": the analytical model, z_i drawn independently with
       variance s_i^2 = gamma^2 * sum_j w_ij^2 sigma_j^2. This is the
-      process the covariance oracle and the Kemeny sandwich describe; the
-      marginal variances match the protocol but cross-correlations are
-      dropped.
+      process the Kemeny sandwich describes; the marginal variances match
+      the protocol but cross-correlations are dropped.
     """
     if noise_model not in ("protocol", "network"):
         raise ValueError(f"unknown noise_model {noise_model!r}")
@@ -219,8 +219,7 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
 
 def default_horizon(p: PerronMatrix) -> int:
     """Several mixing times: 50 / (gamma * lambda2(L))."""
-    evals = np.sort(np.linalg.eigvalsh(p.matrix))[::-1]
-    gap = 1.0 - evals[1]  # gamma * lambda2(L)
+    gap = p.gamma * graphs.algebraic_connectivity(p.graph)
     if gap <= 0:
         raise ValueError("chain does not mix: spectral gap is zero")
     return max(int(math.ceil(50.0 / gap)), 20)
@@ -242,8 +241,8 @@ def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
     """Monte Carlo estimate of the steady-state error.
 
     Defaults to the "network" noise model (independent z with the
-    analytical variances), the process whose steady state the exact
-    covariance oracle and the Kemeny sandwich characterize.
+    analytical variances), the process whose steady state the Kemeny
+    sandwich and the exact oracle on the diagonal covariance characterize.
 
     Averages the squared-error series across trials pointwise and takes the
     maximum of the averaged series over the final tail_fraction of steps as

@@ -7,12 +7,13 @@ few hundred for simulation and a few thousand for closed-form work.
 """
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
 
-CONNECTIVITY_TOL = 1e-9
 EIG_UNIT_TOL = 1e-13
 
 
@@ -29,7 +30,8 @@ class WeightedGraph:
     """Undirected simple weighted graph on nodes 0..node_count-1.
 
     Edges are stored once per unordered pair as (i, j, w) with i < j and
-    w > 0, so symmetry of weights holds by construction.
+    w > 0, so symmetry of weights holds by construction. The Laplacian and
+    its eigendecomposition are computed on first use and cached read-only.
     """
 
     node_count: int
@@ -45,8 +47,9 @@ class WeightedGraph:
                 raise ValueError(f"self-loop on node {i}")
             if not (0 <= i < self.node_count and 0 <= j < self.node_count):
                 raise ValueError(f"edge ({i},{j}) out of range")
-            if w <= 0:
-                raise ValueError(f"edge ({i},{j}) has non-positive weight {w}")
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"edge ({i},{j}) has weight {w}; weights "
+                                 "must be finite and positive")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
@@ -65,57 +68,47 @@ class WeightedGraph:
             a[j, i] = w
         return a
 
+    @cached_property
+    def _laplacian(self) -> np.ndarray:
+        a = self.adjacency_matrix()
+        lap = np.diag(a.sum(axis=1)) - a
+        lap.flags.writeable = False
+        return lap
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        """(lambda, U) = eigh(L): Laplacian eigenvalues in ascending order
+        and orthonormal eigenvectors as columns, one eigensolve per graph."""
+        lam, u = np.linalg.eigh(self._laplacian)
+        lam.flags.writeable = u.flags.writeable = False
+        return lam, u
+
     def degrees(self) -> np.ndarray:
         """Weighted degree of each node."""
-        return self.adjacency_matrix().sum(axis=1)
+        return np.diag(self._laplacian).copy()
 
     def max_degree(self) -> float:
         return float(self.degrees().max())
 
-    def neighbors(self, i: int) -> list:
-        return [j if a == i else a for (a, j, _) in self.edges if i in (a, j)]
-
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Weighted Laplacian: degree matrix minus adjacency matrix."""
-    a = g.adjacency_matrix()
-    return np.diag(a.sum(axis=1)) - a
+    """Weighted Laplacian: degree matrix minus adjacency matrix (the
+    graph's cached, read-only copy)."""
+    return g._laplacian
 
 
 def algebraic_connectivity(g: WeightedGraph) -> float:
     """Second-smallest Laplacian eigenvalue; 0 for disconnected graphs."""
     if g.n < 2:
         return 0.0
-    evals = np.linalg.eigvalsh(laplacian(g))
-    return float(max(evals[1], 0.0))
+    return float(max(g.spectrum[0][1], 0.0))
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """Breadth-first-search connectivity; authoritative over the spectral
-    test, with a diagnostic when the two disagree."""
-    if g.n == 1:
-        return True
-    adj = [[] for _ in range(g.n)]
-    for i, j, _ in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    connected = len(seen) == g.n
-    spectral = algebraic_connectivity(g) > CONNECTIVITY_TOL
-    if connected != spectral:
-        warnings.warn(
-            f"connectivity disagreement: search={connected}, "
-            f"spectral lambda2 test={spectral}; using search result",
-            RuntimeWarning,
-        )
-    return connected
+    """Whether a breadth-first search from node 0 reaches every node."""
+    reached = breadth_first_order(laplacian(g), 0, directed=False,
+                                  return_predecessors=False)
+    return len(reached) == g.n
 
 
 def build_standard_topology(kind: str, n: int, w: float = 1.0) -> WeightedGraph:
@@ -178,14 +171,26 @@ def random_connected_graph(n: int, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class PerronMatrix:
-    """Doubly stochastic consensus transition matrix I - gamma * L."""
+    """Doubly stochastic consensus transition matrix I - gamma * L; it has
+    the eigenvectors of L(graph) and eigenvalues mu_i = 1 - gamma*lambda_i."""
 
     matrix: np.ndarray
     gamma: float
+    graph: WeightedGraph
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def mode_gaps(self) -> np.ndarray:
+        """a_i = 1 - mu_i^2 for the deviation modes i >= 2, evaluated as
+        gamma*lambda_i * (2 - gamma*lambda_i) to avoid cancellation."""
+        gl = self.gamma * self.graph.spectrum[0][1:]
+        gaps = gl * (2.0 - gl)
+        if np.any(gaps <= 0.0):
+            raise NumericalError("a mode of P has |mu| >= 1: no mixing")
+        return gaps
 
 
 def build_perron(g: WeightedGraph, gamma: float) -> PerronMatrix:
@@ -194,8 +199,8 @@ def build_perron(g: WeightedGraph, gamma: float) -> PerronMatrix:
     Requires a connected graph and gamma * d_i < 1 for every node i
     (equivalently gamma in (0, 1/d_max)).
     """
-    if gamma <= 0:
-        raise StepSizeTooLarge("gamma must be positive")
+    if not gamma > 0:
+        raise StepSizeTooLarge(f"gamma must be positive, got {gamma}")
     if not is_connected(g):
         raise ValueError("graph must be connected")
     degs = g.degrees()
@@ -206,20 +211,17 @@ def build_perron(g: WeightedGraph, gamma: float) -> PerronMatrix:
             f"(requires gamma < 1/d_max = {1.0 / degs[worst]:.6g})"
         )
     p = np.eye(g.n) - gamma * laplacian(g)
-    assert np.allclose(p, p.T, atol=1e-12)
-    assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
-    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-    return PerronMatrix(p, gamma)
+    if not (np.allclose(p, p.T, atol=1e-12)
+            and np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
+            and np.allclose(p.sum(axis=1), 1.0, atol=1e-12)):
+        raise NumericalError("I - gamma*L is not doubly stochastic to 1e-12")
+    return PerronMatrix(p, gamma, g)
 
 
 def stationary_distribution(p: PerronMatrix) -> np.ndarray:
-    """Uniform stationary distribution of the symmetric chain, with a
-    residual check on pi^T P = pi^T."""
-    pi = np.full(p.n, 1.0 / p.n)
-    residual = np.max(np.abs(pi @ p.matrix - pi))
-    if residual >= 1e-12:
-        raise NumericalError(f"stationary residual {residual:.3g} too large")
-    return pi
+    """Stationary distribution of the chain: uniform, because P is
+    doubly stochastic."""
+    return np.full(p.n, 1.0 / p.n)
 
 
 def kemeny_constant(matrix: np.ndarray) -> float:

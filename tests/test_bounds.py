@@ -12,14 +12,18 @@ from dpformation import (
     build_perron,
     build_standard_topology,
     corollary1_bound,
+    default_horizon,
     epsilon_threshold_closed_form,
     epsilon_threshold_numeric,
     estimate_ess,
     exact_ess_oracle,
     lemma7_sandwich,
     noise_covariance_diag,
+    noise_gain,
+    noise_scale,
     random_connected_graph,
     reproduce_table1,
+    run_trials,
     theorem1_bound,
     topology_lambda2,
 )
@@ -64,6 +68,27 @@ class TestExactOracle:
         exact = exact_ess_oracle(p, z)
         est = estimate_ess(p, 1.5, trials=2000, master_seed=31)
         assert est.value == pytest.approx(exact, rel=0.05)
+
+    def test_full_covariance_form_of_diagonal_noise(self):
+        g = random_connected_graph(9, np.random.default_rng(4))
+        p = build_perron(g, 0.4 / g.max_degree())
+        z = hetero_noise_diag(p, np.random.default_rng(5))
+        assert exact_ess_oracle(p, np.diag(z)) == pytest.approx(
+            exact_ess_oracle(p, z), rel=1e-13)
+
+    def test_protocol_model_matches_monte_carlo(self):
+        # demo star: the protocol noise z = gamma*A v has Cov[z] = G S G,
+        # correlated across agents sharing a neighbor
+        p = build_perron(build_standard_topology("star", 5, 1.0), 0.2)
+        sigma = noise_scale(PrivacyParams(math.log(3), 0.00135, 2.0))
+        gain = noise_gain(p)
+        exact = exact_ess_oracle(p, sigma**2 * gain @ gain)
+        network = exact_ess_oracle(p, noise_covariance_diag(p, sigma))
+        h = default_horizon(p)
+        ens = run_trials(p, sigma, h, 2000, 11, noise_model="protocol")
+        tail_mean = float(ens.e_agg_trials[-(h + 1) // 4:].mean())
+        assert tail_mean == pytest.approx(exact, rel=0.03)
+        assert not tail_mean == pytest.approx(network, rel=0.5)
 
 
 class TestLemma7Sandwich:
@@ -237,7 +262,6 @@ class TestBoundReport:
         assert rep.lemma7_upper <= rep.theorem1_upper
         assert rep.corollary1_upper == pytest.approx(rep.theorem1_upper,
                                                      rel=1e-12)
-        assert rep.gamma_valid
 
     def test_heterogeneous_report(self):
         g = build_standard_topology("line", 4, 1.0)
@@ -246,3 +270,10 @@ class TestBoundReport:
         assert rep.corollary1_upper is None
         assert rep.lemma7_lower <= rep.exact_ess <= rep.lemma7_upper
         assert rep.exact_ess <= rep.theorem1_upper
+
+    def test_equal_params_list_is_homogeneous(self):
+        g = build_standard_topology("star", 5, 1.0)
+        params = PrivacyParams(math.log(3), 0.00135, 2.0)
+        rep = bound_report(g, 0.2, [params] * 5)
+        assert rep.corollary1_upper == pytest.approx(rep.theorem1_upper,
+                                                     rel=1e-12)

@@ -92,6 +92,21 @@ class TestSimulate:
         assert code == 2
         assert "missing config key" in err
 
+    def test_prints_protocol_model_oracle(self, tmp_path, capsys):
+        code, text, _ = run(capsys, "simulate", "--trials", "20",
+                            "--out", str(tmp_path))
+        assert code == 0
+        assert "exact per-dimension e_ss:       1.06779059" in text
+
+    @pytest.mark.parametrize("line", ["trails: 5", "jobs: 2"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(DEMO_CONFIG + line + "\n")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"unknown config key '{line.split(':')[0]}'" in err
+
 
 class TestDesign:
     def test_single_threshold(self, capsys):
@@ -164,3 +179,30 @@ class TestBoundsCommand:
         assert code == 0
         assert "exact e_ss (oracle)" in text
         assert "11.8643399" in text
+
+    def test_demo_prints_homogeneous_bound(self, capsys):
+        code, text, _ = run(capsys, "bounds")
+        assert code == 0
+        assert "homogeneous upper bound:  11.8643399" in text
+
+    def test_heterogeneous_config_omits_homogeneous_bound(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(EDGE_LIST_CONFIG)
+        code, text, _ = run(capsys, "bounds", "--config", str(cfg))
+        assert code == 0
+        assert "homogeneous" not in text
+
+    def test_nan_weight_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.yaml"
+        cfg.write_text(EDGE_LIST_CONFIG.replace("[2, 3, 0.5]", "[2, 3, .nan]"))
+        code, _, err = run(capsys, "bounds", "--config", str(cfg))
+        assert code == 2
+        assert "finite and positive" in err
+
+    def test_nan_gamma_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.yaml"
+        cfg.write_text(DEMO_CONFIG.replace("gamma: 0.2", "gamma: .nan"))
+        code, _, err = run(capsys, "bounds", "--config", str(cfg))
+        assert code == 2
+        assert "gamma must be positive, got nan" in err

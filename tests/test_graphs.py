@@ -35,6 +35,11 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="weight"):
             WeightedGraph(2, ((0, 1, 0.0),))
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weight(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedGraph(2, ((0, 1, w),))
+
     def test_adjacency_symmetric(self):
         g = random_connected_graph(8, np.random.default_rng(0))
         a = g.adjacency_matrix()
@@ -195,3 +200,38 @@ class TestKemeny:
                                  [np.zeros((2, 2)), block]])
         with pytest.raises(NumericalError):
             kemeny_constant(disconnected)
+
+
+class TestSpectralCore:
+    def test_one_eigensolve_per_graph(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda m: calls.append(1) or eigh(m))
+        g = random_connected_graph(10, np.random.default_rng(8))
+        p = build_perron(g, 0.3 / g.max_degree())
+        assert algebraic_connectivity(g) == g.spectrum[0][1]
+        assert p.mode_gaps.shape == (9,)
+        assert len(calls) == 1
+
+    def test_spectrum_diagonalizes_laplacian(self):
+        g = random_connected_graph(10, np.random.default_rng(9))
+        lam, u = g.spectrum
+        assert np.allclose(u @ np.diag(lam) @ u.T, laplacian(g), atol=1e-12)
+        assert np.all(np.diff(lam) >= 0)
+
+    def test_cached_arrays_are_read_only(self):
+        g = build_standard_topology("cycle", 5, 1.0)
+        with pytest.raises(ValueError):
+            laplacian(g)[0, 0] = 3.0
+        with pytest.raises(ValueError):
+            g.spectrum[0][0] = 1.0
+        g.degrees()[0] = 7.0  # a fresh copy
+        assert g.degrees()[0] == 2.0
+
+    def test_mode_gaps_are_one_minus_mu_squared(self):
+        g = random_connected_graph(7, np.random.default_rng(10))
+        p = build_perron(g, 0.5 / g.max_degree())
+        mu = np.sort(np.linalg.eigvalsh(p.matrix))[::-1][1:]
+        assert np.allclose(np.sort(p.mode_gaps), np.sort(1 - mu**2),
+                           rtol=1e-10)
