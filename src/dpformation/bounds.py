@@ -6,13 +6,14 @@ e_ss of the noisy consensus dynamics. Three routes to it live here:
 
 * an exact oracle, closed form on the graph's cached Laplacian spectrum,
 * the Kemeny-constant sandwich lower/upper bounds, and
-* the closed-form upper bound in terms of gamma, lambda2, N, and the privacy
-  noise coefficient kappa, plus its inversion into minimum-epsilon design
-  thresholds for standard topologies.
+* the closed-form upper bound C(N, gamma, lambda2) * b^2 * kappa(eps)^2,
+  plus its inversion into minimum-epsilon design thresholds for standard
+  topologies.
 
-The numeric threshold (monotone root-finding on the bound) is authoritative;
-the literal published threshold expressions are evaluated alongside for
-comparison because they contain apparent typos.
+kappa is one-to-one in eps, so the threshold inverts the bound exactly in
+closed form and is authoritative; the literal published threshold
+expressions are evaluated alongside for comparison because they contain
+apparent typos.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import dynamics, graphs, privacy
 from .graphs import PerronMatrix, WeightedGraph
@@ -65,23 +65,29 @@ def kemeny_spectral_bounds(p: PerronMatrix, lam2_l: float) -> tuple:
     return (n - 1) / 2.0, upper
 
 
-def corollary1_bound(epsilon: float, lambda2: float, *, n_agents: int,
-                     gamma: float, b: float, delta: float | None = None,
-                     k_delta: float | None = None) -> float:
+def _prefactor(n_agents: int, gamma: float, lambda2):
+    """C = gamma (N-1)^2 / (N lambda2 (2 - gamma lambda2)); every bound is
+    C * b^2 * kappa^2, for N >= 2 agents. Broadcasts over lambda2, which
+    must lie in (0, 2/gamma), where the denominator is positive."""
+    if n_agents < 2:
+        raise ValueError(f"need at least 2 agents, got {n_agents}")
+    lam2 = np.asarray(lambda2, dtype=float)
+    if not np.all((lam2 > 0) & (lam2 < 2.0 / gamma)):
+        raise ValueError("lambda2 must lie in (0, 2/gamma)")
+    return (gamma * (n_agents - 1) ** 2
+            / (n_agents * lam2 * (2.0 - gamma * lam2)))
+
+
+def corollary1_bound(epsilon, lambda2, *, n_agents: int, gamma: float,
+                     b: float, delta: float):
     """Homogeneous upper bound on e_ss as a function of free parameters.
 
     gamma * kappa^2 * b^2 * (N-1)^2 / (N * lambda2 * (2 - gamma*lambda2)).
-    Pass either delta or a precomputed k_delta = q_inverse(delta).
+    Broadcasts over epsilon and lambda2: a float for scalars.
     """
-    if not 0.0 < lambda2 < 2.0 / gamma:
-        raise ValueError("lambda2 must lie in (0, 2/gamma)")
-    if k_delta is None:
-        if delta is None:
-            raise ValueError("provide delta or k_delta")
-        k_delta = privacy.q_inverse(delta)
-    kap = (k_delta + math.sqrt(k_delta**2 + 2.0 * epsilon)) / (2.0 * epsilon)
-    return (gamma * kap**2 * b**2 * (n_agents - 1) ** 2
-            / (n_agents * lambda2 * (2.0 - gamma * lambda2)))
+    kap = privacy.kappa(delta, epsilon)
+    out = _prefactor(n_agents, gamma, lambda2) * (b * b * (kap * kap))
+    return out if out.ndim else float(out)
 
 
 def theorem1_bound(g: WeightedGraph, gamma: float, params) -> float:
@@ -97,36 +103,25 @@ def theorem1_bound(g: WeightedGraph, gamma: float, params) -> float:
 def _theorem1(p: PerronMatrix, params) -> float:
     if isinstance(params, privacy.PrivacyParams):
         params = [params]
-    worst = max(q.kappa**2 * q.b**2 for q in params)
+    worst = max(q.b * q.b * (q.kappa * q.kappa) for q in params)
     lam2 = graphs.algebraic_connectivity(p.graph)
-    n, gamma = p.n, p.gamma
-    return (gamma * (n - 1) ** 2 * worst
-            / (n * lam2 * (2.0 - gamma * lam2)))
+    return float(_prefactor(p.n, p.gamma, lam2) * worst)
 
 
 def epsilon_threshold_numeric(lambda2: float, *, gamma: float, delta: float,
                               b: float, n_agents: int, e_r: float) -> float:
     """Smallest epsilon whose homogeneous bound certifies e_ss <= e_r.
 
-    The bound is strictly decreasing in epsilon, so the threshold is the
-    unique root of bound(eps) = e_r, found by bracketed search on log eps.
-    Returns 0 when even the most private epsilon searched already meets e_r.
+    The bound C * b^2 * kappa(eps)^2 is strictly decreasing in eps and
+    meets e_r at kappa* = sqrt(e_r / (b^2 C)); inverting
+    K + sqrt(K^2 + 2 eps) = 2 eps kappa gives the exact threshold
+    eps* = (1 + 2 kappa* K) / (2 kappa*^2), positive for every e_r > 0.
     """
-    if e_r <= 0:
+    if not e_r > 0:
         raise ValueError("e_r must be positive")
-    k_delta = privacy.q_inverse(delta)
-
-    def gap(log_eps):
-        return corollary1_bound(math.exp(log_eps), lambda2,
-                                n_agents=n_agents, gamma=gamma, b=b,
-                                k_delta=k_delta) - e_r
-
-    lo, hi = math.log(1e-8), math.log(1e8)
-    if gap(lo) <= 0:
-        return 0.0
-    if gap(hi) > 0:
-        raise ValueError("no epsilon in the searched range meets e_r")
-    return math.exp(brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16))
+    k = privacy.q_inverse(delta)
+    kap = math.sqrt(e_r / (b * b * _prefactor(n_agents, gamma, lambda2)))
+    return (1.0 + 2.0 * kap * k) / (2.0 * kap * kap)
 
 
 def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
@@ -139,7 +134,7 @@ def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
     impossibility form needs lambda2 explicitly; the others use the
     closed-form spectrum of the named uniform-weight topology. These
     expressions are reported for comparison only; see
-    epsilon_threshold_numeric for the authoritative value.
+    epsilon_threshold_numeric for the exact inversion of the bound.
     """
     k = privacy.q_inverse(delta)
     if kind == "impossibility":
@@ -212,19 +207,13 @@ def bound_surface(eps_values, lam2_values, *, n_agents: int, delta: float,
     """Grid of homogeneous bounds, shape (len(eps), len(lam2)).
 
     lambda2 is treated as a free parameter; values at or beyond 2/gamma are
-    rejected because the bound's denominator changes sign there.
+    rejected because the bound's denominator changes sign there, and
+    epsilon values must be positive.
     """
-    eps_values = np.asarray(eps_values, dtype=float)
-    lam2_values = np.asarray(lam2_values, dtype=float)
-    if np.any(lam2_values <= 0) or np.any(lam2_values >= 2.0 / gamma):
-        raise ValueError("lambda2 values must lie in (0, 2/gamma)")
-    k_delta = privacy.q_inverse(delta)
-    out = np.empty((len(eps_values), len(lam2_values)))
-    for a, eps in enumerate(eps_values):
-        for c, lam2 in enumerate(lam2_values):
-            out[a, c] = corollary1_bound(eps, lam2, n_agents=n_agents,
-                                         gamma=gamma, b=b, k_delta=k_delta)
-    return out
+    eps = np.asarray(eps_values, dtype=float).reshape(-1, 1)
+    lam2 = np.asarray(lam2_values, dtype=float).reshape(1, -1)
+    return corollary1_bound(eps, lam2, n_agents=n_agents, gamma=gamma, b=b,
+                            delta=delta)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 
@@ -21,9 +20,14 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _csv_writer(path):
+def _write_csv(path, header, columns) -> None:
+    """One row per index of the equal-length columns. Floats are written
+    with repr, so they round-trip exactly."""
     # newline='' so csv controls line endings; deterministic output
-    return open(path, "w", newline="")
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def _per_dimension_runs(cfg: config.RunConfig, p, sigmas, jobs):
@@ -68,25 +72,23 @@ def cmd_simulate(args) -> int:
     runs = _per_dimension_runs(cfg, p, sigmas, jobs)
     os.makedirs(args.out, exist_ok=True)
 
-    with _csv_writer(os.path.join(args.out, "trajectory.csv")) as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "agent", "dimension", "state", "error"])
-        for l, (q, ens) in enumerate(runs):
-            traj = ens.first_trajectory  # xbar of trial 0
-            err = traj - traj.mean(axis=1, keepdims=True)
-            for k in range(cfg.horizon + 1):
-                for i in range(cfg.graph.n):
-                    w.writerow([k, i + 1, l + 1,
-                                repr(float(traj[k, i] + q[i])),
-                                repr(float(err[k, i]))])
-
-    with _csv_writer(os.path.join(args.out, "summary.csv")) as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "dimension", "e_agg_mean", "e_agg_ci"])
-        for l, (_, ens) in enumerate(runs):
-            for k in range(cfg.horizon + 1):
-                w.writerow([k, l + 1, repr(float(ens.e_agg_mean[k])),
-                            repr(float(1.96 * ens.e_agg_sem[k]))])
+    h, n, d = cfg.horizon + 1, cfg.graph.n, len(runs)
+    dims = np.arange(1, d + 1)
+    trajs = [ens.first_trajectory for _, ens in runs]  # xbar of trial 0
+    _write_csv(os.path.join(args.out, "trajectory.csv"),
+               ["step", "agent", "dimension", "state", "error"],
+               [np.tile(np.repeat(np.arange(h), n), d),
+                np.tile(np.arange(1, n + 1), h * d),
+                np.repeat(dims, h * n),
+                np.concatenate([(t + q).ravel()
+                                for t, (q, _) in zip(trajs, runs)]),
+                np.concatenate([(t - t.mean(axis=1, keepdims=True)).ravel()
+                                for t in trajs])])
+    _write_csv(os.path.join(args.out, "summary.csv"),
+               ["step", "dimension", "e_agg_mean", "e_agg_ci"],
+               [np.tile(np.arange(h), d), np.repeat(dims, h),
+                np.concatenate([ens.e_agg_mean for _, ens in runs]),
+                np.concatenate([1.96 * ens.e_agg_sem for _, ens in runs])])
 
     tail_start = cfg.horizon + 1 - max((cfg.horizon + 1) // 4, 1)
     for l, (_, ens) in enumerate(runs):
@@ -114,13 +116,12 @@ def cmd_design(args) -> int:
                 discrepancies.append(c)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            with _csv_writer(os.path.join(args.out, "thresholds.csv")) as fh:
-                w = csv.writer(fh)
-                w.writerow(["graph", "n", "epsilon_numeric",
-                            "epsilon_closed_form"])
-                for c in cells:
-                    w.writerow([c.kind, c.n, repr(float(c.numeric)),
-                                repr(float(c.closed_form))])
+            _write_csv(os.path.join(args.out, "thresholds.csv"),
+                       ["graph", "n", "epsilon_numeric",
+                        "epsilon_closed_form"],
+                       [[c.kind for c in cells], [c.n for c in cells],
+                        [c.numeric for c in cells],
+                        [c.closed_form for c in cells]])
             print(f"wrote {args.out}/thresholds.csv")
         if discrepancies:
             print(f"discrepancy report: {len(discrepancies)} closed-form "
@@ -134,7 +135,7 @@ def cmd_design(args) -> int:
     closed = bounds.epsilon_threshold_closed_form(
         args.kind, args.n, gamma=args.gamma, delta=args.delta, b=args.b,
         w=args.w, e_r=args.e_r)
-    dev = abs(closed - numeric) / numeric if numeric > 0 else math.inf
+    dev = abs(closed - numeric) / numeric
     print(f"{args.kind} graph, N={args.n}, lambda2={_fmt(lam2)}")
     print(f"minimum epsilon (numeric, authoritative): {_fmt(numeric)}")
     print(f"published closed form:                    {_fmt(closed)}")
@@ -149,13 +150,9 @@ def cmd_sweep(args) -> int:
                                 delta=args.delta, b=args.b, gamma=args.gamma)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "surface.csv")
-    with _csv_writer(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "lambda2", "bound"])
-        for a in range(len(eps)):
-            for c in range(len(lam2)):
-                w.writerow([repr(float(eps[a])), repr(float(lam2[c])),
-                            repr(float(grid[a, c]))])
+    _write_csv(path, ["epsilon", "lambda2", "bound"],
+               [np.repeat(eps, len(lam2)), np.tile(lam2, len(eps)),
+                grid.ravel()])
     print(f"wrote {path} ({len(eps)}x{len(lam2)} grid)")
     return 0
 

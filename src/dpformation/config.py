@@ -61,7 +61,14 @@ class RunConfig:
         return graphs.build_perron(self.graph, self.gamma)
 
 
+# libyaml's C parser when PyYAML was built with it, else the pure-Python one
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _check_keys(spec: dict, allowed: tuple, where: str) -> None:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config section {where} must be a mapping, got "
+                          f"{type(spec).__name__}")
     for key in spec:
         if key not in allowed:
             raise ConfigError(f"unknown config key {key!r} in {where} "
@@ -85,7 +92,7 @@ def parse_privacy(spec, n: int) -> tuple:
         _check_keys(d, ("epsilon", "delta", "b"), "privacy")
         return privacy.PrivacyParams(float(d["epsilon"]), float(d["delta"]),
                                      float(d["b"]))
-    if isinstance(spec, dict):
+    if not isinstance(spec, list):
         return (one(spec),) * n
     entries = tuple(one(d) for d in spec)
     if len(entries) != n:
@@ -116,7 +123,7 @@ def from_mapping(data: dict) -> RunConfig:
 
 def load(path) -> RunConfig:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        data = yaml.load(fh, Loader=_LOADER)
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a mapping")
     return from_mapping(data)

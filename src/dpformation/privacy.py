@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import ndtri
 
 TYPICAL_EPS_LO = 0.1
 TYPICAL_EPS_HI = math.log(3.0)
@@ -32,21 +32,27 @@ def q_function(y: float) -> float:
 def q_inverse(delta: float) -> float:
     """Inverse of q_function on (0, 1/2): the K with Q(K) = delta.
 
-    Bracketed root-finding on q_function itself, so the pair stays
-    self-consistent to ~1e-12.
+    Q(y) = Phi(-y), so K = -Phi^{-1}(delta), evaluated by scipy's ndtri to
+    about one ulp over the whole domain.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must be in (0, 1/2), got {delta}")
-    return brentq(lambda y: q_function(y) - delta, 0.0, 40.0,
-                  xtol=1e-14, rtol=8.9e-16)
+    return -float(ndtri(delta))
 
 
-def kappa(delta: float, epsilon: float) -> float:
-    """Noise-scale coefficient (K + sqrt(K^2 + 2*eps)) / (2*eps)."""
-    if epsilon <= 0:
+def kappa(delta: float, epsilon):
+    """Noise-scale coefficient (K + sqrt(K^2 + 2*eps)) / (2*eps).
+
+    Broadcasts over epsilon: a float for a scalar, an array otherwise. It
+    maps eps in (0, inf) one-to-one onto (0, inf), with the exact inverse
+    eps = (1 + 2*kappa*K) / (2*kappa^2).
+    """
+    eps = np.asarray(epsilon, dtype=float)
+    if not np.all(eps > 0):
         raise ValueError("epsilon must be positive")
     k = q_inverse(delta)
-    return (k + math.sqrt(k * k + 2.0 * epsilon)) / (2.0 * epsilon)
+    out = (k + np.sqrt(k * k + 2.0 * eps)) / (2.0 * eps)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

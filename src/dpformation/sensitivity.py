@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import privacy
+from . import bounds, privacy
 
 
 @dataclass(frozen=True)
@@ -41,34 +41,34 @@ class SensitivityPoint:
         return privacy.q_inverse(self.delta)
 
     @property
-    def lambda_aux(self) -> float:
-        """K_delta + sqrt(K_delta^2 + 2*epsilon)."""
+    def bound(self) -> float:
+        return bounds.corollary1_bound(
+            self.epsilon, self.lambda2, n_agents=self.n_agents,
+            gamma=self.gamma, b=self.b, delta=self.delta)
+
+    @property
+    def aux(self) -> float:
+        """A = lambda_aux * r, with r = sqrt(K_delta^2 + 2*eps) and
+        lambda_aux = K_delta + r; d(ln kappa)/d(eps) = 1/A - 1/eps."""
         k = self.k_delta
-        return k + math.sqrt(k * k + 2.0 * self.epsilon)
+        r = math.sqrt(k * k + 2.0 * self.epsilon)
+        return (k + r) * r
 
 
 def partial_epsilon(pt: SensitivityPoint) -> float:
-    """d(bound)/d(epsilon) at the point, in closed form."""
-    lam = pt.lambda_aux
-    root = math.sqrt(pt.k_delta**2 + 2.0 * pt.epsilon)
-    pre = (pt.gamma * (pt.n_agents - 1) ** 2 * pt.b**2
-           / (4.0 * pt.n_agents * pt.lambda2
-              * (2.0 - pt.gamma * pt.lambda2)))
-    return pre * (2.0 * lam / (pt.epsilon**2 * root)
-                  - 2.0 * lam**2 / pt.epsilon**3)
+    """d(bound)/d(epsilon) at the point, in closed form: the bound is
+    proportional to kappa^2, so this is 2 * bound * (1/A - 1/eps)."""
+    return 2.0 * pt.bound * (1.0 / pt.aux - 1.0 / pt.epsilon)
 
 
 def partial_lambda2(pt: SensitivityPoint) -> float:
-    """d(bound)/d(lambda2) at the point, in closed form.
+    """d(bound)/d(lambda2) at the point, in closed form:
+    bound * (gamma / (2 - gamma*lambda2) - 1/lambda2).
 
     Zero exactly at lambda2 = 1/gamma, the bound's minimizer in lambda2.
     """
-    lam = pt.lambda_aux
-    pre = (pt.gamma * lam**2 * (pt.n_agents - 1) ** 2 * pt.b**2
-           / (4.0 * pt.epsilon**2 * pt.n_agents * pt.lambda2
-              * (2.0 - pt.gamma * pt.lambda2)))
-    return pre * (pt.gamma / (2.0 - pt.gamma * pt.lambda2)
-                  - 1.0 / pt.lambda2)
+    return pt.bound * (pt.gamma / (2.0 - pt.gamma * pt.lambda2)
+                       - 1.0 / pt.lambda2)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def dominance_quadratic(pt: SensitivityPoint) -> float:
     with A = lambda_aux * sqrt(K_delta^2 + 2*eps). Reported as a diagnostic
     next to the direct partial comparison.
     """
-    a = pt.lambda_aux * math.sqrt(pt.k_delta**2 + 2.0 * pt.epsilon)
+    a = pt.aux
     g, e, l2 = pt.gamma, pt.epsilon, pt.lambda2
     return ((e * g / a - g) * l2**2 + (2.0 + e * g - 2.0 * e / a) * l2 - e)
 

@@ -27,6 +27,7 @@ from dpformation import (
     theorem1_bound,
     topology_lambda2,
 )
+from threshold_reference import brentq_epsilon_threshold
 
 TABLE1_REFERENCE = {
     ("complete", 10): 0.0074, ("complete", 100): 0.0081,
@@ -175,14 +176,27 @@ class TestEpsilonThreshold:
                                          n_agents=10, e_r=1000.0) \
             < epsilon_threshold_numeric(1.0, b=5.0, **kw)
 
-    def test_huge_target_needs_no_privacy_floor(self):
-        assert epsilon_threshold_numeric(1.0, gamma=1e-4, delta=0.01, b=5.0,
-                                         n_agents=10, e_r=1e30) == 0.0
+    def test_huge_target_has_exact_positive_threshold(self):
+        # any eps below eps* fails to certify e_r, however large e_r is
+        kw = dict(n_agents=10, gamma=1e-4, b=5.0, delta=0.01)
+        eps = epsilon_threshold_numeric(1.0, e_r=1e30, **kw)
+        assert eps == pytest.approx(2.3409009168048e-16, rel=1e-12)
+        assert corollary1_bound(eps, 1.0, **kw) == pytest.approx(1e30,
+                                                                 rel=1e-12)
+        assert corollary1_bound(eps * (1 - 1e-9), 1.0, **kw) > 1e30
+
+    def test_matches_brentq_cross_check_on_table1(self):
+        for c in reproduce_table1():
+            ref = brentq_epsilon_threshold(
+                topology_lambda2(c.kind, c.n, 1.0), gamma=1e-4, delta=0.01,
+                b=5.0, n_agents=c.n, e_r=100.0)
+            assert abs(c.numeric - ref) <= 1e-13 * ref, (c.kind, c.n)
 
     def test_invalid_target(self):
-        with pytest.raises(ValueError):
-            epsilon_threshold_numeric(1.0, gamma=1e-4, delta=0.01, b=5.0,
-                                      n_agents=10, e_r=-1.0)
+        for n, e_r in [(10, -1.0), (10, math.nan), (1, 1.0)]:
+            with pytest.raises(ValueError):
+                epsilon_threshold_numeric(1.0, gamma=1e-4, delta=0.01, b=5.0,
+                                          n_agents=n, e_r=e_r)
 
 
 class TestClosedForms:
@@ -251,6 +265,14 @@ class TestBoundSurface:
         with pytest.raises(ValueError, match="2/gamma"):
             bound_surface([0.5], [100.0], n_agents=50, delta=0.01, b=5.0,
                           gamma=0.02)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5])
+    def test_rejects_nonpositive_epsilon(self, eps):
+        kw = dict(n_agents=50, delta=0.01, b=5.0, gamma=0.02)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            bound_surface([eps, 0.5], [4.0], **kw)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            corollary1_bound(eps, 4.0, **kw)
 
 
 class TestBoundReport:

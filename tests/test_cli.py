@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from dpformation import corollary1_bound
 from dpformation.cli import main
@@ -107,6 +108,19 @@ class TestSimulate:
         assert code == 2
         assert f"unknown config key '{line.split(':')[0]}'" in err
 
+    @pytest.mark.parametrize("section,value", [
+        ("graph", 5), ("privacy", [1, 2]), ("privacy", 5), ("formation", 7)])
+    def test_non_mapping_section_exits_2(self, tmp_path, capsys, section,
+                                         value):
+        data = yaml.safe_load(DEMO_CONFIG)
+        data[section] = value
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(data))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"config section {section} must be a mapping" in err
+
 
 class TestDesign:
     def test_single_threshold(self, capsys):
@@ -124,11 +138,12 @@ class TestDesign:
         rows = (tmp_path / "thresholds.csv").read_text().splitlines()
         assert len(rows) == 17
 
-    def test_huge_target_gives_zero_threshold(self, capsys):
+    def test_huge_target_gives_positive_threshold(self, capsys):
         code, text, _ = run(capsys, "design", "--kind", "star", "--n", "10",
                             "--e-r", "1e30")
         assert code == 0
-        assert "numeric, authoritative): 0" in text
+        assert "numeric, authoritative): 2.34090092e-16" in text
+        assert "relative deviation:                       100.00%" in text
 
 
 class TestSweep:
@@ -149,6 +164,14 @@ class TestSweep:
         rows = (tmp_path / "surface.csv").read_text().splitlines()[1:]
         values = [float(r.split(",")[2]) for r in rows]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("eps_min", ["0", "-0.5"])
+    def test_nonpositive_epsilon_exits_2(self, tmp_path, capsys, eps_min):
+        code, _, err = run(capsys, "sweep", "--eps-min", eps_min,
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert "epsilon must be positive" in err
+        assert not (tmp_path / "surface.csv").exists()
 
     def test_lambda2_out_of_range_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--lam2-max", "200",

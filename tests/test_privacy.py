@@ -14,6 +14,7 @@ from dpformation import (
     sample_noise,
 )
 from dpformation.privacy import PrivacyRangeWarning
+from threshold_reference import brentq_q_inverse
 
 # upper-tail probabilities computed with mpmath at 50 digits
 Q_REFERENCE = [
@@ -62,6 +63,11 @@ class TestQInverse:
         for delta in [1e-9, 1e-4, 0.05, 0.3]:
             assert abs(q_function(q_inverse(delta)) - delta) <= 1e-12
 
+    @pytest.mark.parametrize("delta", np.geomspace(1e-300, 0.4999, 61))
+    def test_matches_brentq_cross_check(self, delta):
+        ref = brentq_q_inverse(delta)
+        assert abs(q_inverse(delta) - ref) <= 1e-13 * ref
+
 
 class TestKappa:
     def test_reference_value(self):
@@ -79,6 +85,19 @@ class TestKappa:
         assert all(a > b for a, b in zip(values, values[1:]))
         # kappa ~ 1/sqrt(2*eps) for large eps
         assert values[-1] == pytest.approx(1 / math.sqrt(2e3), rel=0.1)
+
+    def test_broadcasts_over_epsilon(self):
+        eps = np.array([[0.1, 0.5], [1.0, 7.0]])
+        out = kappa(0.01, eps)
+        assert out.shape == (2, 2)
+        assert out.tolist() == [[kappa(0.01, e) for e in row] for row in
+                                eps.tolist()]
+        assert type(kappa(0.01, 0.5)) is float
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, [0.5, 0.0]])
+    def test_nonpositive_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            kappa(0.01, eps)
 
     def test_increasing_in_k_delta(self):
         # smaller delta means larger K_delta, hence larger kappa

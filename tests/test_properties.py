@@ -1,4 +1,4 @@
-"""Property tests for the spectral core on random connected graphs.
+"""Property tests for the spectral core and the design path.
 
 Graphs come from random_connected_graph (weights in (0.1, 1]), with step
 size gamma in [0.05, 0.5] / d_max and heterogeneous per-agent privacy.
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from dpformation import (
     PrivacyParams,
     build_perron,
+    corollary1_bound,
+    epsilon_threshold_numeric,
     exact_ess_oracle,
     lemma7_sandwich,
     noise_covariance_diag,
@@ -65,3 +67,15 @@ def test_oracle_below_theorem1_bound(cfg):
     g, p, params, z = cfg
     assert exact_ess_oracle(p, z) <= theorem1_bound(g, p.gamma, params) \
         * (1 + 1e-12)
+
+
+@SETTINGS
+@given(log_e_r=st.floats(-6.0, 30.0), n=st.integers(2, 10000),
+       log_delta=st.floats(-12.0, -0.31), b=st.floats(0.1, 10.0),
+       gamma=st.floats(1e-5, 1.0), frac=st.floats(0.01, 0.99))
+def test_threshold_bound_round_trip(log_e_r, n, log_delta, b, gamma, frac):
+    e_r, lam2 = 10.0**log_e_r, frac * 2.0 / gamma
+    kw = dict(n_agents=n, gamma=gamma, b=b, delta=10.0**log_delta)
+    eps = epsilon_threshold_numeric(lam2, e_r=e_r, **kw)
+    assert eps > 0
+    assert abs(corollary1_bound(eps, lam2, **kw) - e_r) <= 1e-12 * e_r
