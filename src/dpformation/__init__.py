@@ -19,28 +19,21 @@ from .graphs import (
 )
 from .privacy import (
     PrivacyParams,
-    is_adjacent,
     kappa,
     noise_scale,
     q_function,
     q_inverse,
-    sample_noise,
 )
 from .dynamics import (
     EssEstimate,
     FormationSpec,
     NonMixingWarning,
     TrialEnsemble,
-    beta,
     default_horizon,
     error_series,
     estimate_ess,
     noise_covariance_diag,
     noise_gain,
-    noiseless_step,
-    private_step,
-    private_step_network,
-    private_step_node,
     run_trials,
     trial_rng,
 )

@@ -85,6 +85,7 @@ def corollary1_bound(epsilon, lambda2, *, n_agents: int, gamma: float,
     gamma * kappa^2 * b^2 * (N-1)^2 / (N * lambda2 * (2 - gamma*lambda2)).
     Broadcasts over epsilon and lambda2: a float for scalars.
     """
+    privacy.check_radius(b)
     kap = privacy.kappa(delta, epsilon)
     out = _prefactor(n_agents, gamma, lambda2) * (b * b * (kap * kap))
     return out if out.ndim else float(out)
@@ -119,6 +120,7 @@ def epsilon_threshold_numeric(lambda2: float, *, gamma: float, delta: float,
     """
     if not e_r > 0:
         raise ValueError("e_r must be positive")
+    privacy.check_radius(b)
     k = privacy.q_inverse(delta)
     kap = math.sqrt(e_r / (b * b * _prefactor(n_agents, gamma, lambda2)))
     return (1.0 + 2.0 * kap * k) / (2.0 * kap * kap)
@@ -136,6 +138,7 @@ def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
     expressions are reported for comparison only; see
     epsilon_threshold_numeric for the exact inversion of the bound.
     """
+    privacy.check_radius(b)
     k = privacy.q_inverse(delta)
     if kind == "impossibility":
         if lambda2 is None:

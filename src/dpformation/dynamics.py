@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .graphs import PerronMatrix, WeightedGraph
+from .graphs import PerronMatrix
 
 
 class NonMixingWarning(UserWarning):
@@ -68,56 +68,11 @@ def noise_covariance_diag(p: PerronMatrix, sigmas) -> np.ndarray:
     return noise_gain(p) ** 2 @ sigmas**2
 
 
-def noiseless_step(xbar: np.ndarray, p: PerronMatrix) -> np.ndarray:
-    """One consensus step xbar(k+1) = P xbar(k)."""
-    return p.matrix @ xbar
-
-
-def private_step_network(xbar: np.ndarray, p: PerronMatrix,
-                         v: np.ndarray) -> np.ndarray:
-    """Network-level private step P xbar + z with z = gamma * A v."""
-    return p.matrix @ xbar + noise_gain(p) @ v
-
-
-def private_step_node(xbar: np.ndarray, g: WeightedGraph, gamma: float,
-                      v: np.ndarray) -> np.ndarray:
-    """Node-level private step, written as each agent computes it.
-
-    Agent i mixes its neighbors' noised shifted states against its own
-    un-noised state. Used to cross-check the network-level form.
-    """
-    out = np.array(xbar, dtype=float)
-    a = g.adjacency_matrix()
-    for i in range(g.n):
-        acc = 0.0
-        for j in range(g.n):
-            if a[i, j] > 0:
-                acc += a[i, j] * ((xbar[j] + v[j]) - xbar[i])
-        out[i] += gamma * acc
-    return out
-
-
-def private_step(xbar: np.ndarray, p: PerronMatrix, sigmas,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Private step with fresh per-agent Gaussian noise of scale sigmas."""
-    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (p.n,))
-    v = rng.standard_normal(p.n) * sigmas
-    return private_step_network(xbar, p, v)
-
-
-def beta(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Noiseless consensus target from state x: mean(x)*1 + q - mean(q)*1."""
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if x.shape != q.shape:
-        raise ValueError("x and q must have the same length")
-    return np.mean(x) + q - np.mean(q)
-
-
 def error_series(xbar_traj: np.ndarray) -> tuple:
     """Per-step deviation e(k) and squared-error network average.
 
-    xbar_traj has one row per time step. e(k) = x(k) - beta(k), which in
+    xbar_traj has one row per time step. e(k) = x(k) - beta(k), with beta
+    the noiseless consensus target mean(x)*1 + q - mean(q)*1, which in
     shifted coordinates is xbar minus its network mean. The aggregate is
     the average of e_i^2 over agents (one value per step).
     """
@@ -137,6 +92,12 @@ def trial_rng(master_seed, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((len(key),) + key))
 
 
+# noise draws per trial per time block of run_trials: a block buffer takes
+# 8 KiB per trial, and a trial's generator is called once per block, so
+# short blocks would be dominated by the call overhead
+BLOCK_DRAWS = 1024
+
+
 @dataclass(frozen=True)
 class TrialEnsemble:
     """Trial-averaged error series of a Monte Carlo run."""
@@ -154,6 +115,11 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
 
     Trial t draws its noise from a generator keyed by (master_seed, t), so
     results are independent of how trials are chunked across workers.
+    Each worker walks the horizon in time blocks of about BLOCK_DRAWS draws
+    per trial, refilling its buffers from the same generators block after
+    block; the draws, and so the results, are those of one whole-horizon
+    draw per trial, while memory stays O(horizon * trials) for the error
+    series plus O(BLOCK_DRAWS * trials) per worker.
 
     noise_model selects how the state perturbation z is produced:
 
@@ -167,35 +133,66 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     """
     if noise_model not in ("protocol", "network"):
         raise ValueError(f"unknown noise_model {noise_model!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     n = p.n
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
     gain = noise_gain(p)
     z_scale = np.sqrt(noise_covariance_diag(p, sigmas))
 
+    block = max(1, min(-(-BLOCK_DRAWS // n), horizon))
+
     def run_chunk(t_lo, t_hi):
         count = t_hi - t_lo
-        v = np.empty((horizon, count, n))
-        for t in range(t_lo, t_hi):
-            v[:, t - t_lo, :] = trial_rng(master_seed, t).standard_normal(
-                (horizon, n))
-        if noise_model == "protocol":
-            z = (v * sigmas) @ gain  # gain is symmetric
-        else:
-            z = v * z_scale
-        x = np.tile(x0, (count, 1))
+        rngs = [trial_rng(master_seed, t) for t in range(t_lo, t_hi)]
+        # trial-major, so each generator fills one contiguous run
+        v = np.empty((count, block, n))
+        # z[j] is the (count, n) perturbation of the block's step j
+        z = (v.transpose(1, 0, 2) if noise_model == "network"
+             else np.empty((block, count, n)))
+        x = np.empty((block + 1, count, n))  # x[0] carries the block's start
+        x[0] = x0
+        # the block's noise is spent once its recursion has run, so v's
+        # memory doubles as the scratch for the centered states
+        dev = v.reshape(block, count, n)
+        mean = np.empty((block, count, 1))
         e_agg = np.empty((horizon + 1, count))
         traj = np.empty((horizon + 1, n)) if t_lo == 0 else None
-        dev = x - x.mean(axis=1, keepdims=True)
-        e_agg[0] = np.mean(dev**2, axis=1)
+
+        def mean_square_error(states, out):
+            """out[j] = mean over agents of (states[j] - its mean)^2,
+            summed then divided as np.mean does, so the bits match."""
+            b = len(states)
+            np.sum(states, axis=2, keepdims=True, out=mean[:b])
+            mean[:b] /= n
+            np.subtract(states, mean[:b], out=dev[:b])
+            np.square(dev[:b], out=dev[:b])
+            np.sum(dev[:b], axis=2, out=out)
+            out /= n
+
+        mean_square_error(x[:1], e_agg[:1])
         if traj is not None:
-            traj[0] = x[0]
-        for k in range(horizon):
-            x = x @ p.matrix + z[k]  # P is symmetric
-            dev = x - x.mean(axis=1, keepdims=True)
-            e_agg[k + 1] = np.mean(dev**2, axis=1)
+            traj[0] = x0
+        for k0 in range(0, horizon, block):
+            b = min(block, horizon - k0)
+            for i, g in enumerate(rngs):
+                g.standard_normal(out=v[i, :b])
+            if noise_model == "protocol":
+                v[:, :b] *= sigmas
+                # gain is symmetric
+                np.matmul(v[:, :b].transpose(1, 0, 2), gain, out=z[:b])
+            else:
+                v[:, :b] *= z_scale
+            for j in range(b):
+                np.matmul(x[j], p.matrix, out=x[j + 1])  # P is symmetric
+                x[j + 1] += z[j]
+            mean_square_error(x[1:b + 1], e_agg[k0 + 1:k0 + b + 1])
             if traj is not None:
-                traj[k + 1] = x[0]
+                traj[k0 + 1:k0 + b + 1] = x[1:b + 1, 0]
+            x[0] = x[b]
         return e_agg, traj
 
     if jobs <= 1 or trials == 1:
@@ -210,7 +207,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(pool.map(lambda c: run_chunk(*c), chunks))
 
-    e_agg = np.concatenate([r[0] for r in results], axis=1)
+    e_agg = (results[0][0] if len(results) == 1
+             else np.concatenate([r[0] for r in results], axis=1))
     first_traj = results[0][1]
     sem = e_agg.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 \
         else np.zeros(horizon + 1)

@@ -55,6 +55,14 @@ def kappa(delta: float, epsilon):
     return out if out.ndim else float(out)
 
 
+def check_radius(b: float) -> None:
+    """Raise unless the adjacency radius b is positive and finite; every
+    bound and threshold that takes b checks it here."""
+    if not (b > 0 and math.isfinite(b)):
+        raise ValueError(
+            f"adjacency radius b must be positive and finite, got {b}")
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Per-agent privacy parameters (epsilon, delta, b)."""
@@ -68,8 +76,7 @@ class PrivacyParams:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must be in (0, 1/2)")
-        if self.b <= 0:
-            raise ValueError("adjacency radius b must be positive")
+        check_radius(self.b)
         if not TYPICAL_EPS_LO <= self.epsilon <= TYPICAL_EPS_HI:
             warnings.warn(
                 f"epsilon={self.epsilon:.4g} outside the customary range "
@@ -95,27 +102,3 @@ class PrivacyParams:
 def noise_scale(p: PrivacyParams) -> float:
     """Minimal sufficient Gaussian scale sigma = b * kappa(delta, epsilon)."""
     return p.b * p.kappa
-
-
-def sample_noise(sigma: float, steps: int, rng_seed) -> np.ndarray:
-    """i.i.d. zero-mean Gaussian draws with scale sigma, deterministic
-    per seed.
-
-    rng_seed is anything np.random.default_rng accepts (int, SeedSequence,
-    or Generator).
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    rng = np.random.default_rng(rng_seed)
-    return rng.normal(0.0, sigma, size=steps)
-
-
-def is_adjacent(v, w, b: float) -> bool:
-    """Whether two equal-length trajectories are within l2 distance b."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != w.shape:
-        raise ValueError(f"trajectory shapes differ: {v.shape} vs {w.shape}")
-    if b <= 0:
-        raise ValueError("adjacency radius b must be positive")
-    return float(np.linalg.norm(v - w)) <= b

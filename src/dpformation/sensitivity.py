@@ -33,6 +33,7 @@ class SensitivityPoint:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        privacy.check_radius(self.b)
         if not 0.0 < self.lambda2 < 2.0 / self.gamma:
             raise ValueError("lambda2 must lie in (0, 2/gamma)")
 

@@ -1,0 +1,74 @@
+"""Whole-tensor cross-check for the streaming Monte Carlo kernel.
+
+dynamics.run_trials works through the horizon in time blocks from
+persistent per-trial generators. This is the same computation written the
+direct way: draw each trial's whole (horizon, N) noise at once, mix the full
+(horizon, trials, N) tensor, and reduce one step at a time. It needs
+2 * 8 * horizon * trials * N bytes, so it lives next to the tests, not in
+the library.
+"""
+import math
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+from dpformation.dynamics import (
+    TrialEnsemble,
+    noise_covariance_diag,
+    noise_gain,
+    trial_rng,
+)
+
+
+def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
+                            master_seed, xbar0=None, jobs: int = 1,
+                            noise_model: str = "protocol") -> TrialEnsemble:
+    """run_trials with the noise of every step materialized up front."""
+    n = p.n
+    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
+    x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
+    gain = noise_gain(p)
+    z_scale = np.sqrt(noise_covariance_diag(p, sigmas))
+
+    def run_chunk(t_lo, t_hi):
+        count = t_hi - t_lo
+        v = np.empty((horizon, count, n))
+        for t in range(t_lo, t_hi):
+            v[:, t - t_lo, :] = trial_rng(master_seed, t).standard_normal(
+                (horizon, n))
+        if noise_model == "protocol":
+            z = (v * sigmas) @ gain  # gain is symmetric
+        else:
+            z = v * z_scale
+        x = np.tile(x0, (count, 1))
+        e_agg = np.empty((horizon + 1, count))
+        traj = np.empty((horizon + 1, n)) if t_lo == 0 else None
+        dev = x - x.mean(axis=1, keepdims=True)
+        e_agg[0] = np.mean(dev**2, axis=1)
+        if traj is not None:
+            traj[0] = x[0]
+        for k in range(horizon):
+            x = x @ p.matrix + z[k]  # P is symmetric
+            dev = x - x.mean(axis=1, keepdims=True)
+            e_agg[k + 1] = np.mean(dev**2, axis=1)
+            if traj is not None:
+                traj[k + 1] = x[0]
+        return e_agg, traj
+
+    if jobs <= 1 or trials == 1:
+        chunks = [(0, trials)]
+    else:
+        step = -(-trials // jobs)
+        chunks = [(lo, min(lo + step, trials))
+                  for lo in range(0, trials, step)]
+    if len(chunks) == 1:
+        results = [run_chunk(*chunks[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            results = list(pool.map(lambda c: run_chunk(*c), chunks))
+
+    e_agg = np.concatenate([r[0] for r in results], axis=1)
+    first_traj = results[0][1]
+    sem = e_agg.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 \
+        else np.zeros(horizon + 1)
+    return TrialEnsemble(e_agg.mean(axis=1), sem, e_agg, first_traj)

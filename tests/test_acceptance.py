@@ -25,11 +25,8 @@ from dpformation import (
     kemeny_constant,
     lemma7_sandwich,
     noise_covariance_diag,
-    noiseless_step,
     partial_epsilon,
     partial_lambda2,
-    private_step_network,
-    private_step_node,
     q_inverse,
     random_connected_graph,
     reproduce_table1,
@@ -39,6 +36,11 @@ from dpformation import (
     theorem3_thresholds,
     trial_rng,
     SensitivityPoint,
+)
+from step_reference import (
+    noiseless_step,
+    private_step_network,
+    private_step_node,
 )
 
 # printed reference thresholds (4-6 significant figures)

@@ -275,6 +275,27 @@ class TestBoundSurface:
             corollary1_bound(eps, 4.0, **kw)
 
 
+class TestRadiusValidation:
+    @pytest.mark.parametrize("b", [-5.0, 0.0, math.nan, math.inf])
+    def test_every_bound_rejects_invalid_radius(self, b):
+        calls = [
+            lambda: corollary1_bound(0.5, 4.0, n_agents=50, gamma=0.02, b=b,
+                                     delta=0.01),
+            lambda: bound_surface([0.5], [4.0], n_agents=50, gamma=0.02,
+                                  b=b, delta=0.01),
+            lambda: epsilon_threshold_numeric(1.0, gamma=1e-4, delta=0.01,
+                                              b=b, n_agents=10, e_r=100.0),
+            lambda: epsilon_threshold_closed_form(
+                "complete", 10, gamma=1e-4, delta=0.01, b=b, w=1.0,
+                e_r=100.0),
+            lambda: PrivacyParams(0.5, 0.01, b),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match="radius b must be positive and finite"):
+                call()
+
+
 class TestBoundReport:
     def test_demo_report_is_consistent(self):
         g = build_standard_topology("star", 5, 1.0)

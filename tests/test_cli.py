@@ -145,6 +145,14 @@ class TestDesign:
         assert "numeric, authoritative): 2.34090092e-16" in text
         assert "relative deviation:                       100.00%" in text
 
+    @pytest.mark.parametrize("b", ["-5", "0", "nan", "inf"])
+    @pytest.mark.parametrize("table1", [[], ["--table1"]])
+    def test_invalid_radius_exits_2(self, capsys, b, table1):
+        code, text, err = run(capsys, "design", "--b", b, *table1)
+        assert code == 2
+        assert "adjacency radius b must be positive and finite" in err
+        assert "closed form" not in text
+
 
 class TestSweep:
     def test_single_cell_equals_bound(self, tmp_path, capsys):
@@ -173,6 +181,13 @@ class TestSweep:
         assert "epsilon must be positive" in err
         assert not (tmp_path / "surface.csv").exists()
 
+    @pytest.mark.parametrize("b", ["-5", "0", "nan", "inf"])
+    def test_invalid_radius_exits_2(self, tmp_path, capsys, b):
+        code, _, err = run(capsys, "sweep", "--b", b, "--out", str(tmp_path))
+        assert code == 2
+        assert "adjacency radius b must be positive and finite" in err
+        assert not (tmp_path / "surface.csv").exists()
+
     def test_lambda2_out_of_range_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--lam2-max", "200",
                            "--out", str(tmp_path))
@@ -194,6 +209,14 @@ class TestSensitivityCommand:
         assert code == 0
         assert "d(bound)/d(lambda2) = 0" in text
         assert "outside (0, 1/gamma)" in text
+
+    @pytest.mark.parametrize("b", ["-1", "0", "nan", "inf"])
+    def test_invalid_radius_exits_2(self, capsys, b):
+        code, text, err = run(capsys, "sensitivity", "--epsilon", "0.5",
+                              "--lambda2", "1", "--b", b)
+        assert code == 2
+        assert "adjacency radius b must be positive and finite" in err
+        assert text == ""
 
 
 class TestBoundsCommand:
@@ -222,6 +245,15 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "--config", str(cfg))
         assert code == 2
         assert "finite and positive" in err
+
+    @pytest.mark.parametrize("b", [".nan", ".inf", "-2.0"])
+    def test_invalid_radius_exits_2(self, tmp_path, capsys, b):
+        cfg = tmp_path / "b.yaml"
+        cfg.write_text(DEMO_CONFIG.replace("b: 2.0", f"b: {b}"))
+        code, text, err = run(capsys, "bounds", "--config", str(cfg))
+        assert code == 2
+        assert "adjacency radius b must be positive and finite" in err
+        assert text == ""
 
     def test_nan_gamma_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "nan.yaml"

@@ -1,23 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dpformation import (
     FormationSpec,
     NonMixingWarning,
-    beta,
     build_perron,
     build_standard_topology,
     error_series,
     estimate_ess,
     noise_covariance_diag,
+    random_connected_graph,
+    run_trials,
+)
+from dpformation.dynamics import BLOCK_DRAWS, noise_gain, trial_rng
+from mc_reference import whole_tensor_run_trials
+from step_reference import (
+    beta,
     noiseless_step,
     private_step,
     private_step_network,
     private_step_node,
-    random_connected_graph,
-    run_trials,
 )
-from dpformation.dynamics import noise_gain, trial_rng
 
 
 @pytest.fixture
@@ -177,6 +182,69 @@ class TestRunTrials:
         _, p = star5
         with pytest.raises(ValueError, match="noise_model"):
             run_trials(p, 1.0, 5, 2, 0, noise_model="other")
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_nonpositive_trials(self, star5, trials):
+        _, p = star5
+        with pytest.raises(ValueError, match="trials"):
+            run_trials(p, 1.0, 5, trials, 0)
+
+    def test_rejects_negative_horizon(self, star5):
+        _, p = star5
+        with pytest.raises(ValueError, match="horizon"):
+            run_trials(p, 1.0, -1, 3, 0)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_zero_horizon_is_the_initial_row(self, star5, jobs):
+        _, p = star5
+        x0 = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
+        ens = run_trials(p, 1.0, 0, 4, 0, xbar0=x0, jobs=jobs)
+        assert ens.e_agg_trials.shape == (1, 4)
+        assert np.all(ens.e_agg_trials == np.mean((x0 - x0.mean()) ** 2))
+        assert np.array_equal(ens.first_trajectory, x0[None, :])
+        assert np.array_equal(ens.e_agg_sem, [0.0])
+
+
+class TestStreamingMatchesWholeTensor:
+    """The time-blocked kernel against the whole-tensor reference, bit for
+    bit, at horizons around the block boundaries."""
+
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    @pytest.mark.parametrize("noise_model", ["protocol", "network"])
+    @pytest.mark.parametrize("jobs", [1, 3])
+    # horizon = blocks * block + extra, block = ceil(BLOCK_DRAWS / n)
+    @pytest.mark.parametrize("blocks, extra",
+                             [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_bit_identical(self, n, noise_model, jobs, blocks, extra):
+        g = random_connected_graph(n, np.random.default_rng(n))
+        p = build_perron(g, 0.5 / g.max_degree())
+        sigmas = np.linspace(0.5, 2.0, n)
+        xbar0 = np.linspace(-3.0, 5.0, n)
+        h = blocks * -(-BLOCK_DRAWS // n) + extra
+        args = (p, sigmas, h, 5, (11, n))
+        kw = dict(xbar0=xbar0, jobs=jobs, noise_model=noise_model)
+        got = run_trials(*args, **kw)
+        want = whole_tensor_run_trials(*args, **kw)
+        for field in ("e_agg_trials", "e_agg_mean", "e_agg_sem",
+                      "first_trajectory"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), \
+                field
+
+
+class TestRunTrialsMemory:
+    @pytest.mark.parametrize("noise_model", ["protocol", "network"])
+    def test_peak_below_half_the_noise_tensor(self, noise_model):
+        # the whole-tensor kernel peaks at 2.1x (network) and 3.0x
+        # (protocol) the 8*h*T*N bytes of one (h, T, N) noise tensor
+        h, trials, n = 4000, 500, 8
+        p = build_perron(build_standard_topology("cycle", n, 1.0), 0.25)
+        tracemalloc.start()
+        try:
+            run_trials(p, 1.0, h, trials, 0, noise_model=noise_model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * h * trials * n
 
 
 class TestDimensionDecomposition:

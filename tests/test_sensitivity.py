@@ -73,6 +73,11 @@ class TestPartialLambda2:
         with pytest.raises(ValueError):
             make_point(epsilon=0.0)
 
+    @pytest.mark.parametrize("b", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_radius_validation(self, b):
+        with pytest.raises(ValueError, match="radius b"):
+            make_point(b=b)
+
 
 class TestTheorem3Thresholds:
     def test_reference_cutoff(self):
