@@ -7,8 +7,8 @@ digits). Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
+import re
 import sys
 
 import numpy as np
@@ -20,14 +20,48 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+CSV_CHUNK_ROWS = 1024
+_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _unquoted(cells, one_field: bool):
+    """The cells, checked to be ones csv.writer would write unquoted."""
+    for s in cells:
+        if _QUOTED.search(s) or (one_field and not s):
+            raise ValueError(f"CSV cell {s!r} would need quoting")
+    return cells
+
+
+def _column_text(c: np.ndarray, one_field: bool) -> list:
+    """str of each cell, formatting each distinct value once. Floats are
+    told apart by bit pattern, so 0.0 and -0.0 stay distinct."""
+    if c.dtype.kind not in "biufU":
+        raise TypeError(f"unsupported CSV column dtype {c.dtype}")
+    key = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
+    uniq, inv = np.unique(key, return_inverse=True)
+    text = list(map(str, uniq.view(c.dtype).tolist()))
+    if c.dtype.kind == "U":
+        _unquoted(text, one_field)
+    return np.array(text, dtype=object)[inv].tolist()
+
+
 def _write_csv(path, header, columns) -> None:
-    """One row per index of the equal-length columns. Floats are written
-    with repr, so they round-trip exactly."""
-    # newline='' so csv controls line endings; deterministic output
+    """One row per index of the equal-length 1-D columns, in the bytes
+    csv.writer writes: str of each cell (floats round-trip exactly), comma
+    separated, CRLF line ends. Rows go out in chunks of CSV_CHUNK_ROWS, and
+    within a chunk each distinct value of a column is formatted once. No
+    cell is ever quoted: a str cell that csv.writer would quote raises
+    ValueError."""
+    cols = [np.asarray(c) for c in columns]
+    n_rows = len(cols[0]) if cols else 0
+    if any(c.ndim != 1 or len(c) != n_rows for c in cols):
+        raise ValueError("CSV columns must be 1-D and of equal length")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+        fh.write(",".join(_unquoted(header, len(header) == 1)) + "\r\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            cells = [_column_text(c[start:start + CSV_CHUNK_ROWS],
+                                  len(cols) == 1) for c in cols]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _per_dimension_runs(cfg: config.RunConfig, p, sigmas, jobs):
@@ -144,6 +178,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.eps_steps < 1 or args.lam2_steps < 1:
+        raise ValueError("--eps-steps and --lam2-steps must be >= 1")
     eps = np.linspace(args.eps_min, args.eps_max, args.eps_steps)
     lam2 = np.linspace(args.lam2_min, args.lam2_max, args.lam2_steps)
     grid = bounds.bound_surface(eps, lam2, n_agents=args.n,

@@ -242,10 +242,10 @@ def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
     analytical variances), the process whose steady state the Kemeny
     sandwich and the exact oracle on the diagonal covariance characterize.
 
-    Averages the squared-error series across trials pointwise and takes the
-    maximum of the averaged series over the final tail_fraction of steps as
-    a conservative stand-in for the limit superior. The half-width is a 95%
-    normal interval from the trial variance at the selected step.
+    Each trial's squared-error series is averaged over the final
+    tail_fraction of steps; the estimate is the mean of these per-trial
+    tail means. Trials are i.i.d., so the half-width is a valid 95% normal
+    interval from the spread of the per-trial tail means.
 
     Emits NonMixingWarning when the tail still trends (least-squares slope
     over 100 steps exceeding 1% of the tail mean).
@@ -260,22 +260,21 @@ def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
                      noise_model=noise_model)
     tail_start = horizon + 1 - max(int((horizon + 1) * tail_fraction), 1)
     tail = ens.e_agg_mean[tail_start:]
-    k_star = tail_start + int(np.argmax(tail))
+    trial_means = ens.e_agg_trials[tail_start:].mean(axis=0)
+    value = float(trial_means.mean())
 
     mixing_ok = True
-    tail_mean = float(tail.mean())
-    if len(tail) >= 3 and tail_mean > 0:
+    if len(tail) >= 3 and value > 0:
         slope = np.polyfit(np.arange(len(tail)), tail, 1)[0]
-        if abs(slope) * 100.0 > 0.01 * tail_mean:
+        if abs(slope) * 100.0 > 0.01 * value:
             mixing_ok = False
             warnings.warn(
                 f"tail still trends: slope per 100 steps is "
-                f"{abs(slope) * 100.0 / tail_mean:.2%} of the tail mean",
+                f"{abs(slope) * 100.0 / value:.2%} of the tail mean",
                 NonMixingWarning, stacklevel=2,
             )
     if trials > 1:
-        hw = 1.96 * float(np.std(ens.e_agg_trials[k_star], ddof=1)) \
-            / math.sqrt(trials)
+        hw = 1.96 * float(np.std(trial_means, ddof=1)) / math.sqrt(trials)
     else:
-        hw = float("inf") if float(tail.max()) > 0 else 0.0
-    return EssEstimate(float(tail.max()), hw, horizon, trials, mixing_ok)
+        hw = float("inf") if value > 0 else 0.0
+    return EssEstimate(value, hw, horizon, trials, mixing_ok)

@@ -141,6 +141,8 @@ def build_standard_topology(kind: str, n: int, w: float = 1.0) -> WeightedGraph:
 
 def topology_lambda2(kind: str, n: int, w: float = 1.0) -> float:
     """Closed-form algebraic connectivity of the named uniform topologies."""
+    if n < 2:
+        raise ValueError(f"a {kind} topology needs n >= 2 agents, got {n}")
     if kind == "complete":
         return w * n
     if kind == "cycle":

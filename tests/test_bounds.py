@@ -69,6 +69,8 @@ class TestExactOracle:
         exact = exact_ess_oracle(p, z)
         est = estimate_ess(p, 1.5, trials=2000, master_seed=31)
         assert est.value == pytest.approx(exact, rel=0.05)
+        # the 95% interval of the per-trial tail means covers the oracle
+        assert abs(est.value - exact) <= est.half_width
 
     def test_full_covariance_form_of_diagonal_noise(self):
         g = random_connected_graph(9, np.random.default_rng(4))

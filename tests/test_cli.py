@@ -153,6 +153,14 @@ class TestDesign:
         assert "adjacency radius b must be positive and finite" in err
         assert "closed form" not in text
 
+    @pytest.mark.parametrize("kind", ["complete", "cycle", "line", "star"])
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_too_few_agents_exits_2(self, capsys, kind, n):
+        code, text, err = run(capsys, "design", "--kind", kind, "--n", n)
+        assert code == 2
+        assert f"needs n >= 2 agents, got {n}" in err
+        assert text == ""
+
 
 class TestSweep:
     def test_single_cell_equals_bound(self, tmp_path, capsys):
@@ -186,6 +194,15 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--b", b, "--out", str(tmp_path))
         assert code == 2
         assert "adjacency radius b must be positive and finite" in err
+        assert not (tmp_path / "surface.csv").exists()
+
+    @pytest.mark.parametrize("steps", [["--eps-steps", "0"],
+                                       ["--lam2-steps", "0"],
+                                       ["--eps-steps", "-3"]])
+    def test_empty_grid_exits_2(self, tmp_path, capsys, steps):
+        code, _, err = run(capsys, "sweep", *steps, "--out", str(tmp_path))
+        assert code == 2
+        assert "validation error" in err
         assert not (tmp_path / "surface.csv").exists()
 
     def test_lambda2_out_of_range_exits_2(self, tmp_path, capsys):

@@ -283,6 +283,18 @@ class TestEstimateEss:
         assert est.half_width > 0
         assert est.trials == 200
 
+    @pytest.mark.filterwarnings("ignore::dpformation.NonMixingWarning")
+    def test_value_is_mean_of_per_trial_tail_means(self, star5):
+        _, p = star5
+        est = estimate_ess(p, 1.0, trials=200, horizon=150, master_seed=1)
+        ens = run_trials(p, 1.0, 150, 200, 1, noise_model="network")
+        tail = ens.e_agg_trials[151 - 37:]  # the last quarter of 151 steps
+        per_trial = tail.mean(axis=0)
+        assert est.value == pytest.approx(per_trial.mean(), rel=1e-14)
+        assert est.value < tail.mean(axis=1).max()
+        assert est.half_width == pytest.approx(
+            1.96 * per_trial.std(ddof=1) / np.sqrt(200), rel=1e-14)
+
     def test_nonmixing_warning_on_trending_tail(self, star5):
         # start far from equilibrium with a horizon too short to mix
         _, p = star5

@@ -77,6 +77,12 @@ class TestTopologies:
         with pytest.raises(ValueError):
             build_standard_topology(kind, n)
 
+    @pytest.mark.parametrize("kind", ["complete", "cycle", "line", "star"])
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_closed_form_lambda2_needs_two_agents(self, kind, n):
+        with pytest.raises(ValueError, match="n >= 2"):
+            topology_lambda2(kind, n)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             build_standard_topology("wheel", 5)
