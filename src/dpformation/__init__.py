@@ -11,26 +11,21 @@ from .graphs import (
     build_perron,
     build_standard_topology,
     is_connected,
-    kemeny_constant,
     laplacian,
     random_connected_graph,
-    stationary_distribution,
     topology_lambda2,
 )
 from .privacy import (
     PrivacyParams,
     kappa,
     noise_scale,
-    q_function,
     q_inverse,
 )
 from .dynamics import (
     EssEstimate,
     FormationSpec,
-    NonMixingWarning,
     TrialEnsemble,
-    default_horizon,
-    error_series,
+    burn_in_and_window,
     estimate_ess,
     noise_covariance_diag,
     noise_gain,
@@ -46,7 +41,6 @@ from .bounds import (
     epsilon_threshold_closed_form,
     epsilon_threshold_numeric,
     exact_ess_oracle,
-    kemeny_spectral_bounds,
     lemma7_sandwich,
     reproduce_table1,
     theorem1_bound,

@@ -47,22 +47,13 @@ def lemma7_sandwich(p: PerronMatrix, z_diag) -> tuple:
     """Kemeny sandwich on e_ss for i.i.d. diagonal noise.
 
     Returns (min_i s_i^2 pi_i, max_i s_i^2 pi_i) scaled by the Kemeny
-    constant of the two-step chain P^2, sum_{i>=2} 1 / (1 - mu_i^2).
+    constant of the two-step chain P^2, sum_{i>=2} 1 / (1 - mu_i^2). P is
+    doubly stochastic, so its stationary distribution is pi_i = 1/N.
     """
     z_diag = np.broadcast_to(np.asarray(z_diag, dtype=float), (p.n,))
     k2 = float(np.sum(1.0 / p.mode_gaps))
-    weighted = z_diag * graphs.stationary_distribution(p)
+    weighted = z_diag * (1.0 / p.n)
     return float(weighted.min() * k2), float(weighted.max() * k2)
-
-
-def kemeny_spectral_bounds(p: PerronMatrix, lam2_l: float) -> tuple:
-    """Bounds on the Kemeny constant of P^2: ((N-1)/2, upper].
-
-    The upper bound uses lambda2(P)^2 = (1 - gamma*lambda2(L))^2.
-    """
-    n = p.n
-    upper = (n - 1) / (1.0 - (1.0 - p.gamma * lam2_l) ** 2)
-    return (n - 1) / 2.0, upper
 
 
 def _prefactor(n_agents: int, gamma: float, lambda2):

@@ -10,18 +10,12 @@ The deviation from the moving consensus target is e(k) = xbar - mean(xbar).
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import graphs
 from .graphs import PerronMatrix
-
-
-class NonMixingWarning(UserWarning):
-    """Tail of the error series still trends: horizon likely too short."""
 
 
 @dataclass(frozen=True)
@@ -47,10 +41,6 @@ class FormationSpec:
     def dimensions(self) -> int:
         return self.anchors.shape[1]
 
-    def offset(self, i: int, j: int) -> np.ndarray:
-        """Desired relative state p_j - p_i."""
-        return self.anchors[j] - self.anchors[i]
-
     def component(self, l: int) -> np.ndarray:
         """Anchor vector q for dimension l (one entry per agent)."""
         return self.anchors[:, l].copy()
@@ -66,19 +56,6 @@ def noise_covariance_diag(p: PerronMatrix, sigmas) -> np.ndarray:
     """Diagonal of Cov[z]: s_i^2 = gamma^2 * sum_j w_ij^2 sigma_j^2."""
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (p.n,))
     return noise_gain(p) ** 2 @ sigmas**2
-
-
-def error_series(xbar_traj: np.ndarray) -> tuple:
-    """Per-step deviation e(k) and squared-error network average.
-
-    xbar_traj has one row per time step. e(k) = x(k) - beta(k), with beta
-    the noiseless consensus target mean(x)*1 + q - mean(q)*1, which in
-    shifted coordinates is xbar minus its network mean. The aggregate is
-    the average of e_i^2 over agents (one value per step).
-    """
-    xbar_traj = np.atleast_2d(np.asarray(xbar_traj, dtype=float))
-    e = xbar_traj - xbar_traj.mean(axis=1, keepdims=True)
-    return e, np.mean(e**2, axis=1)
 
 
 def trial_rng(master_seed, trial: int) -> np.random.Generator:
@@ -215,12 +192,28 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     return TrialEnsemble(e_agg.mean(axis=1), sem, e_agg, first_traj)
 
 
-def default_horizon(p: PerronMatrix) -> int:
-    """Several mixing times: 50 / (gamma * lambda2(L))."""
-    gap = p.gamma * graphs.algebraic_connectivity(p.graph)
-    if gap <= 0:
-        raise ValueError("chain does not mix: spectral gap is zero")
-    return max(int(math.ceil(50.0 / gap)), 20)
+# bias bound of estimate_ess, relative to e_ss: the start-up transient left
+# after the burn-in, rho^(2 k_b)
+BURN_IN_TOL = 1e-6
+
+
+def burn_in_and_window(p: PerronMatrix) -> tuple:
+    """Burn-in k_b and averaging window W of a Monte Carlo run from zero.
+
+    From a zero start every deviation mode's variance is its steady value
+    times 1 - mu_i^(2k), so E e_agg(k) >= e_ss * (1 - rho^(2k)) with
+    rho = max_{i>=2} |mu_i|. k_b is the smallest k with rho^(2k) <=
+    BURN_IN_TOL, and W = ceil(12.5 / (1 - rho)), a quarter of 50 mixing
+    times.
+    """
+    # 1 - rho^2; with one agent there is no deviation mode and rho = 0
+    gap = float(np.min(p.mode_gaps, initial=1.0))
+    rho2 = 1.0 - gap
+    burn_in = (0 if rho2 == 0.0
+               else math.ceil(math.log(BURN_IN_TOL) / math.log1p(-gap)))
+    # 1 - rho without the cancellation of 1 - sqrt(rho2)
+    window = math.ceil(12.5 * (1.0 + math.sqrt(rho2)) / gap)
+    return burn_in, window
 
 
 @dataclass(frozen=True)
@@ -229,12 +222,10 @@ class EssEstimate:
     half_width: float
     horizon: int
     trials: int
-    mixing_ok: bool
 
 
 def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
-                 horizon: int | None = None, tail_fraction: float = 0.25,
-                 master_seed=0, xbar0=None, jobs: int = 1,
+                 master_seed=0, jobs: int = 1,
                  noise_model: str = "network") -> EssEstimate:
     """Monte Carlo estimate of the steady-state error.
 
@@ -242,39 +233,22 @@ def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
     analytical variances), the process whose steady state the Kemeny
     sandwich and the exact oracle on the diagonal covariance characterize.
 
-    Each trial's squared-error series is averaged over the final
-    tail_fraction of steps; the estimate is the mean of these per-trial
-    tail means. Trials are i.i.d., so the half-width is a valid 95% normal
-    interval from the spread of the per-trial tail means.
-
-    Emits NonMixingWarning when the tail still trends (least-squares slope
-    over 100 steps exceeding 1% of the tail mean).
+    Each trial runs k_b + W steps from a zero start (burn_in_and_window)
+    and averages its squared-error series over steps k_b+1 ... k_b+W; the
+    estimate is the mean of these per-trial window means, biased low by at
+    most BURN_IN_TOL * e_ss. Trials are i.i.d., so the half-width is a valid
+    95% normal interval from the spread of the per-trial window means.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must be in (0, 1]")
-    if horizon is None:
-        horizon = default_horizon(p)
-    ens = run_trials(p, sigmas, horizon, trials, master_seed, xbar0, jobs,
+    burn_in, window = burn_in_and_window(p)
+    horizon = burn_in + window
+    ens = run_trials(p, sigmas, horizon, trials, master_seed, jobs=jobs,
                      noise_model=noise_model)
-    tail_start = horizon + 1 - max(int((horizon + 1) * tail_fraction), 1)
-    tail = ens.e_agg_mean[tail_start:]
-    trial_means = ens.e_agg_trials[tail_start:].mean(axis=0)
+    trial_means = ens.e_agg_trials[burn_in + 1:].mean(axis=0)
     value = float(trial_means.mean())
-
-    mixing_ok = True
-    if len(tail) >= 3 and value > 0:
-        slope = np.polyfit(np.arange(len(tail)), tail, 1)[0]
-        if abs(slope) * 100.0 > 0.01 * value:
-            mixing_ok = False
-            warnings.warn(
-                f"tail still trends: slope per 100 steps is "
-                f"{abs(slope) * 100.0 / value:.2%} of the tail mean",
-                NonMixingWarning, stacklevel=2,
-            )
     if trials > 1:
         hw = 1.96 * float(np.std(trial_means, ddof=1)) / math.sqrt(trials)
     else:
         hw = float("inf") if value > 0 else 0.0
-    return EssEstimate(value, hw, horizon, trials, mixing_ok)
+    return EssEstimate(value, hw, horizon, trials)

@@ -14,9 +14,6 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
 
-EIG_UNIT_TOL = 1e-13
-
-
 class StepSizeTooLarge(ValueError):
     """Raised when gamma violates the double-stochasticity conditions."""
 
@@ -111,47 +108,48 @@ def is_connected(g: WeightedGraph) -> bool:
     return len(reached) == g.n
 
 
+# fewest agents of each named topology: a "cycle" on two nodes would be a
+# doubled edge
+_MIN_AGENTS = {"complete": 2, "cycle": 3, "line": 2, "star": 2}
+
+
+def _check_topology_size(kind: str, n: int) -> None:
+    if kind not in _MIN_AGENTS:
+        raise ValueError(f"unknown topology kind {kind!r}")
+    if n < _MIN_AGENTS[kind]:
+        raise ValueError(f"a {kind} topology needs n >= {_MIN_AGENTS[kind]} "
+                         f"agents, got {n}")
+
+
 def build_standard_topology(kind: str, n: int, w: float = 1.0) -> WeightedGraph:
     """Uniform-weight complete, cycle, line, or star graph.
 
     For the star, node 0 is the hub.
     """
+    _check_topology_size(kind, n)
     if w <= 0:
         raise ValueError("weight must be positive")
     if kind == "complete":
-        if n < 2:
-            raise ValueError("complete graph needs n >= 2")
         edges = [(i, j, w) for i in range(n) for j in range(i + 1, n)]
     elif kind == "cycle":
-        if n < 3:
-            raise ValueError("cycle graph needs n >= 3")
         edges = [(i, (i + 1) % n, w) for i in range(n)]
     elif kind == "line":
-        if n < 2:
-            raise ValueError("line graph needs n >= 2")
         edges = [(i, i + 1, w) for i in range(n - 1)]
-    elif kind == "star":
-        if n < 2:
-            raise ValueError("star graph needs n >= 2")
-        edges = [(0, i, w) for i in range(1, n)]
     else:
-        raise ValueError(f"unknown topology kind {kind!r}")
+        edges = [(0, i, w) for i in range(1, n)]
     return WeightedGraph(n, tuple(edges))
 
 
 def topology_lambda2(kind: str, n: int, w: float = 1.0) -> float:
     """Closed-form algebraic connectivity of the named uniform topologies."""
-    if n < 2:
-        raise ValueError(f"a {kind} topology needs n >= 2 agents, got {n}")
+    _check_topology_size(kind, n)
     if kind == "complete":
         return w * n
     if kind == "cycle":
         return 2.0 * w * (1.0 - np.cos(2.0 * np.pi / n))
     if kind == "line":
         return 2.0 * w * (1.0 - np.cos(np.pi / n))
-    if kind == "star":
-        return w
-    raise ValueError(f"unknown topology kind {kind!r}")
+    return w
 
 
 def random_connected_graph(n: int, rng: np.random.Generator,
@@ -218,24 +216,3 @@ def build_perron(g: WeightedGraph, gamma: float) -> PerronMatrix:
             and np.allclose(p.sum(axis=1), 1.0, atol=1e-12)):
         raise NumericalError("I - gamma*L is not doubly stochastic to 1e-12")
     return PerronMatrix(p, gamma, g)
-
-
-def stationary_distribution(p: PerronMatrix) -> np.ndarray:
-    """Stationary distribution of the chain: uniform, because P is
-    doubly stochastic."""
-    return np.full(p.n, 1.0 / p.n)
-
-
-def kemeny_constant(matrix: np.ndarray) -> float:
-    """Kemeny constant of a symmetric stochastic matrix.
-
-    Uses the eigenvalue form: the sum of 1/(1 - lambda) over all
-    eigenvalues except the unit one.
-    """
-    evals = np.sort(np.linalg.eigvalsh(matrix))[::-1]
-    rest = evals[1:]
-    if np.any(rest >= 1.0 - EIG_UNIT_TOL):
-        raise NumericalError(
-            "secondary eigenvalue at 1: chain is not irreducible"
-        )
-    return float(np.sum(1.0 / (1.0 - rest)))

@@ -24,13 +24,9 @@ class PrivacyRangeWarning(UserWarning):
     """Parameters outside the customary ranges; still accepted."""
 
 
-def q_function(y: float) -> float:
-    """Standard normal upper-tail probability Q(y) = P[Z > y]."""
-    return 0.5 * math.erfc(y / math.sqrt(2.0))
-
-
 def q_inverse(delta: float) -> float:
-    """Inverse of q_function on (0, 1/2): the K with Q(K) = delta.
+    """Inverse of the Gaussian tail Q(y) = P[Z > y] on (0, 1/2): the K
+    with Q(K) = delta.
 
     Q(y) = Phi(-y), so K = -Phi^{-1}(delta), evaluated by scipy's ndtri to
     about one ulp over the whole domain.

@@ -1,11 +1,15 @@
-"""Whole-tensor cross-check for the streaming Monte Carlo kernel.
+"""Cross-checks for the Monte Carlo kernel and its estimator.
 
 dynamics.run_trials works through the horizon in time blocks from
-persistent per-trial generators. This is the same computation written the
-direct way: draw each trial's whole (horizon, N) noise at once, mix the full
-(horizon, trials, N) tensor, and reduce one step at a time. It needs
-2 * 8 * horizon * trials * N bytes, so it lives next to the tests, not in
-the library.
+persistent per-trial generators. whole_tensor_run_trials is the same
+computation written the direct way: draw each trial's whole (horizon, N)
+noise at once, mix the full (horizon, trials, N) tensor, and reduce one
+step at a time. It needs 2 * 8 * horizon * trials * N bytes, so it lives
+next to the tests, not in the library.
+
+window_mean_variance is the exact second moment of what estimate_ess
+averages, so the tests can check the spread of the simulated noise and not
+only its mean.
 """
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -72,3 +76,27 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
     sem = e_agg.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 \
         else np.zeros(horizon + 1)
     return TrialEnsemble(e_agg.mean(axis=1), sem, e_agg, first_traj)
+
+
+def window_mean_variance(p, noise, window: int) -> float:
+    """Variance of one stationary trial's squared error averaged over
+    `window` consecutive steps, for Gaussian noise with Cov[z] = noise (the
+    full matrix, or its diagonal).
+
+    In the eigenbasis of P, deviation modes i, j >= 2 have stationary
+    covariance S_ij = (U^T C U)_ij / (1 - mu_i mu_j) and lag-tau covariance
+    mu_j^tau S_ij, so by Isserlis Cov[e(k), e(k+tau)] =
+    (2/N^2) sum_ij S_ij^2 mu_j^(2 tau), and the window mean has variance
+    (2/(N^2 W^2)) sum_ij S_ij^2 [W + 2 sum_{tau<W} (W - tau) mu_j^(2 tau)].
+    """
+    c = np.asarray(noise, dtype=float)
+    if c.ndim < 2:
+        c = np.diag(np.broadcast_to(c, (p.n,)))
+    mu, u = np.linalg.eigh(p.matrix)
+    mu, u = mu[:-1], u[:, :-1]  # drop the consensus mode, mu = 1
+    s = (u.T @ c @ u) / (1.0 - np.outer(mu, mu))
+    tau = np.arange(1, window)
+    lag_sum = window + 2.0 * ((window - tau) * mu[:, None] ** (2 * tau)).sum(
+        axis=1)
+    n = p.n
+    return float(2.0 / (n * n * window * window) * np.sum(s**2 * lag_sum))

@@ -3,7 +3,7 @@
 dynamics.run_trials advances whole blocks of trials and steps at once.
 These helpers take one step of one state vector, written out as the
 equations read, so the tests can check invariants and the node-level law
-step by step.
+step by step, and measure the error of one trajectory.
 """
 import numpy as np
 
@@ -51,3 +51,21 @@ def beta(x, q):
     if x.shape != q.shape:
         raise ValueError("x and q must have the same length")
     return np.mean(x) + q - np.mean(q)
+
+
+def offset(spec, i, j):
+    """Desired relative state p_j - p_i of a FormationSpec."""
+    return spec.anchors[j] - spec.anchors[i]
+
+
+def error_series(xbar_traj):
+    """Per-step deviation e(k) and squared-error network average.
+
+    xbar_traj has one row per time step. e(k) = x(k) - beta(k), with beta
+    the noiseless consensus target mean(x)*1 + q - mean(q)*1, which in
+    shifted coordinates is xbar minus its network mean. The aggregate is
+    the average of e_i^2 over agents (one value per step).
+    """
+    xbar_traj = np.atleast_2d(np.asarray(xbar_traj, dtype=float))
+    e = xbar_traj - xbar_traj.mean(axis=1, keepdims=True)
+    return e, np.mean(e**2, axis=1)

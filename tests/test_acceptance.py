@@ -19,10 +19,8 @@ from dpformation import (
     build_perron,
     corollary1_bound,
     demo_config,
-    error_series,
     estimate_ess,
     exact_ess_oracle,
-    kemeny_constant,
     lemma7_sandwich,
     noise_covariance_diag,
     partial_epsilon,
@@ -31,13 +29,14 @@ from dpformation import (
     random_connected_graph,
     reproduce_table1,
     run_trials,
-    stationary_distribution,
     theorem1_bound,
     theorem3_thresholds,
     trial_rng,
     SensitivityPoint,
 )
+from chain_reference import kemeny_constant, stationary_distribution
 from step_reference import (
+    error_series,
     noiseless_step,
     private_step_network,
     private_step_node,
@@ -177,20 +176,17 @@ def test_sandwich_and_ordering():
 
 
 @criterion(6, "Monte Carlo estimator within 5% of the exact oracle on "
-              "10 small configs")
+              "40 small configs")
 def test_estimator_cross_validation():
     t0 = time.monotonic()
     worst = 0.0
-    for seed in (0, 7, 8, 9, 10, 12, 13, 17, 27, 32):
+    for seed in range(40):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(int(rng.integers(3, 9)), rng)
         p = build_perron(g, 0.5 / g.max_degree())
         sigmas = rng.uniform(0.5, 1.5, g.n)
         oracle = exact_ess_oracle(p, noise_covariance_diag(p, sigmas))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = estimate_ess(p, sigmas, trials=2000, master_seed=seed,
-                               jobs=4)
+        est = estimate_ess(p, sigmas, trials=2000, master_seed=seed, jobs=1)
         dev = abs(est.value - oracle) / oracle
         worst = max(worst, dev)
         assert dev < 0.05, f"seed {seed}: {dev:.3%}"

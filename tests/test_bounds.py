@@ -11,8 +11,8 @@ from dpformation import (
     bound_surface,
     build_perron,
     build_standard_topology,
+    burn_in_and_window,
     corollary1_bound,
-    default_horizon,
     epsilon_threshold_closed_form,
     epsilon_threshold_numeric,
     estimate_ess,
@@ -87,9 +87,10 @@ class TestExactOracle:
         gain = noise_gain(p)
         exact = exact_ess_oracle(p, sigma**2 * gain @ gain)
         network = exact_ess_oracle(p, noise_covariance_diag(p, sigma))
-        h = default_horizon(p)
-        ens = run_trials(p, sigma, h, 2000, 11, noise_model="protocol")
-        tail_mean = float(ens.e_agg_trials[-(h + 1) // 4:].mean())
+        burn_in, window = burn_in_and_window(p)
+        ens = run_trials(p, sigma, burn_in + window, 2000, 11,
+                         noise_model="protocol")
+        tail_mean = float(ens.e_agg_trials[burn_in + 1:].mean())
         assert tail_mean == pytest.approx(exact, rel=0.03)
         assert not tail_mean == pytest.approx(network, rel=0.5)
 

@@ -5,20 +5,23 @@ import pytest
 
 from dpformation import (
     FormationSpec,
-    NonMixingWarning,
+    WeightedGraph,
     build_perron,
     build_standard_topology,
-    error_series,
+    burn_in_and_window,
     estimate_ess,
+    exact_ess_oracle,
     noise_covariance_diag,
     random_connected_graph,
     run_trials,
 )
 from dpformation.dynamics import BLOCK_DRAWS, noise_gain, trial_rng
-from mc_reference import whole_tensor_run_trials
+from mc_reference import whole_tensor_run_trials, window_mean_variance
 from step_reference import (
     beta,
+    error_series,
     noiseless_step,
+    offset,
     private_step,
     private_step_network,
     private_step_node,
@@ -37,12 +40,13 @@ class TestFormationSpec:
                                        [20.0, 20.0]]))
         for i in range(3):
             for j in range(3):
-                assert np.array_equal(spec.offset(i, j), -spec.offset(j, i))
+                assert np.array_equal(offset(spec, i, j),
+                                      -offset(spec, j, i))
 
     def test_offsets_consistent_with_anchors(self):
         anchors = np.random.default_rng(1).normal(size=(4, 3))
         spec = FormationSpec(anchors)
-        assert np.array_equal(spec.offset(1, 3), anchors[3] - anchors[1])
+        assert np.array_equal(offset(spec, 1, 3), anchors[3] - anchors[1])
 
     def test_component_extraction(self):
         spec = FormationSpec(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -270,41 +274,79 @@ class TestDimensionDecomposition:
         assert not np.array_equal(a, b)
 
 
+def criterion6_setup(seed):
+    """Graph, step size and noise scales of the acceptance criterion-6
+    configuration with graph seed `seed`."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(int(rng.integers(3, 9)), rng)
+    p = build_perron(g, 0.5 / g.max_degree())
+    return p, rng.uniform(0.5, 1.5, g.n)
+
+
+class TestBurnInAndWindow:
+    def test_near_periodic_cycle_burns_in_past_its_negative_mode(self):
+        # 4-cycle at gamma = 0.49: mu = 1, 0.02, 0.02, -0.96, so rho is set
+        # by the negative eigenvalue, not by gamma * lambda2
+        p = build_perron(build_standard_topology("cycle", 4, 1.0), 0.49)
+        burn_in, window = burn_in_and_window(p)
+        assert burn_in >= 170
+        assert 0.96 ** (2 * burn_in) <= 1e-6
+        assert window == 313  # ceil(12.5 / 0.04)
+
+    def test_near_periodic_cycle_interval_covers_oracle(self):
+        p = build_perron(build_standard_topology("cycle", 4, 1.0), 0.49)
+        exact = exact_ess_oracle(p, noise_covariance_diag(p, 1.0))
+        est = estimate_ess(p, 1.0, trials=20000, master_seed=0)
+        assert abs(est.value - exact) <= est.half_width
+
+    def test_zero_rho_needs_no_burn_in(self):
+        # K2 at gamma = 0.5: P = [[.5, .5], [.5, .5]] mixes in one step
+        p = build_perron(WeightedGraph(2, ((0, 1, 1.0),)), 0.5)
+        assert burn_in_and_window(p) == (0, 13)
+
+
 class TestEstimateEss:
     def test_zero_noise_gives_zero(self, star5):
         _, p = star5
-        est = estimate_ess(p, 0.0, trials=10, horizon=50, master_seed=0)
+        est = estimate_ess(p, 0.0, trials=10, master_seed=0)
         assert est.value <= 1e-9
 
     def test_reports_half_width(self, star5):
         _, p = star5
-        est = estimate_ess(p, 1.0, trials=200, horizon=150, master_seed=1)
+        est = estimate_ess(p, 1.0, trials=200, master_seed=1)
         assert est.value > 0
         assert est.half_width > 0
         assert est.trials == 200
 
-    @pytest.mark.filterwarnings("ignore::dpformation.NonMixingWarning")
     def test_value_is_mean_of_per_trial_tail_means(self, star5):
         _, p = star5
-        est = estimate_ess(p, 1.0, trials=200, horizon=150, master_seed=1)
-        ens = run_trials(p, 1.0, 150, 200, 1, noise_model="network")
-        tail = ens.e_agg_trials[151 - 37:]  # the last quarter of 151 steps
+        burn_in, window = burn_in_and_window(p)
+        est = estimate_ess(p, 1.0, trials=200, master_seed=1)
+        ens = run_trials(p, 1.0, burn_in + window, 200, 1,
+                         noise_model="network")
+        tail = ens.e_agg_trials[burn_in + 1:]  # steps k_b+1 ... k_b+W
+        assert len(tail) == window
         per_trial = tail.mean(axis=0)
+        assert est.horizon == burn_in + window
         assert est.value == pytest.approx(per_trial.mean(), rel=1e-14)
         assert est.value < tail.mean(axis=1).max()
         assert est.half_width == pytest.approx(
             1.96 * per_trial.std(ddof=1) / np.sqrt(200), rel=1e-14)
 
-    def test_nonmixing_warning_on_trending_tail(self, star5):
-        # start far from equilibrium with a horizon too short to mix
-        _, p = star5
-        with pytest.warns(NonMixingWarning):
-            estimate_ess(p, 0.1, trials=50, horizon=12, master_seed=2,
-                         xbar0=np.array([100.0, 0.0, 0.0, 0.0, 0.0]))
+    @pytest.mark.parametrize("seed", [0, 9, 27])
+    def test_half_width_matches_exact_variance(self, seed):
+        # second moment: the observed spread of the per-trial window means
+        # against the closed-form variance of one trial's window mean
+        p, sigmas = criterion6_setup(seed)
+        trials = 2000
+        est = estimate_ess(p, sigmas, trials=trials, master_seed=seed)
+        _, window = burn_in_and_window(p)
+        var = window_mean_variance(p, noise_covariance_diag(p, sigmas),
+                                   window)
+        ratio = est.half_width / (1.96 * np.sqrt(var / trials))
+        assert 0.9 <= ratio <= 1.1, ratio
 
     def test_invalid_args(self, star5):
         _, p = star5
         with pytest.raises(ValueError):
             estimate_ess(p, 1.0, trials=0)
-        with pytest.raises(ValueError):
-            estimate_ess(p, 1.0, trials=2, tail_fraction=0.0)

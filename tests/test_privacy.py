@@ -8,11 +8,10 @@ from dpformation import (
     PrivacyParams,
     kappa,
     noise_scale,
-    q_function,
     q_inverse,
 )
 from dpformation.privacy import PrivacyRangeWarning
-from threshold_reference import brentq_q_inverse
+from threshold_reference import brentq_q_inverse, q_function
 
 # upper-tail probabilities computed with mpmath at 50 digits
 Q_REFERENCE = [

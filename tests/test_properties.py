@@ -1,7 +1,10 @@
-"""Property tests for the spectral core and the design path.
+"""Property tests for the spectral core, the Monte Carlo plan and the
+design path.
 
 Graphs come from random_connected_graph (weights in (0.1, 1]), with step
-size gamma in [0.05, 0.5] / d_max and heterogeneous per-agent privacy.
+size gamma in [0.05, 0.5] / d_max and heterogeneous per-agent privacy; the
+plan is also checked up to gamma near 1 / d_max, where P has negative
+eigenvalues.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from dpformation import (
     PrivacyParams,
     build_perron,
+    burn_in_and_window,
     corollary1_bound,
     epsilon_threshold_numeric,
     exact_ess_oracle,
@@ -67,6 +71,24 @@ def test_oracle_below_theorem1_bound(cfg):
     g, p, params, z = cfg
     assert exact_ess_oracle(p, z) <= theorem1_bound(g, p.gamma, params) \
         * (1 + 1e-12)
+
+
+@SETTINGS
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       extra=st.floats(0.0, 0.6), frac=st.floats(0.01, 0.999))
+def test_burn_in_is_the_first_step_below_tolerance(n, seed, extra, frac):
+    g = random_connected_graph(n, np.random.default_rng(seed), extra)
+    p = build_perron(g, frac / g.max_degree())
+    burn_in, window = burn_in_and_window(p)
+    # rho = max |mu_i| over all but the unit eigenvalue, from P itself
+    rho = np.abs(np.linalg.eigvalsh(p.matrix)[:-1]).max()
+    rho2 = 1.0 - p.mode_gaps.min()
+    assert abs(rho2 - rho**2) <= 1e-12
+    # rho = 0 leaves no transient after the first step: k_b = 0
+    assert rho2**burn_in <= 1e-6 or (rho2 == 0 and burn_in == 0)
+    assert burn_in == 0 or 1e-6 < rho2 ** (burn_in - 1)
+    w = 12.5 / (1.0 - rho)
+    assert w * (1 - 1e-9) <= window < w * (1 + 1e-9) + 1
 
 
 @SETTINGS

@@ -2,14 +2,18 @@
 
 q_inverse is -ndtri(delta) and epsilon_threshold_numeric inverts kappa in
 closed form. Here both are found the slow way instead, by bracketed brentq
-searches on q_function and on the homogeneous bound itself, so that the
-closed forms are checked against an independent route to the same numbers.
+searches on the Gaussian tail q_function and on the homogeneous bound
+itself, so that the closed forms are checked against an independent route
+to the same numbers.
 """
 import math
 
 from scipy.optimize import brentq
 
-from dpformation import q_function
+
+def q_function(y: float) -> float:
+    """Standard normal upper-tail probability Q(y) = P[Z > y]."""
+    return 0.5 * math.erfc(y / math.sqrt(2.0))
 
 
 def brentq_q_inverse(delta: float) -> float:
