@@ -36,7 +36,6 @@ from .bounds import (
     BoundReport,
     ThresholdCell,
     bound_report,
-    bound_surface,
     corollary1_bound,
     epsilon_threshold_closed_form,
     epsilon_threshold_numeric,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, graphs, privacy
-from .graphs import PerronMatrix, WeightedGraph
+from .graphs import PerronMatrix
 
 
 def exact_ess_oracle(p: PerronMatrix, noise) -> float:
@@ -58,10 +58,13 @@ def lemma7_sandwich(p: PerronMatrix, z_diag) -> tuple:
 
 def _prefactor(n_agents: int, gamma: float, lambda2):
     """C = gamma (N-1)^2 / (N lambda2 (2 - gamma lambda2)); every bound is
-    C * b^2 * kappa^2, for N >= 2 agents. Broadcasts over lambda2, which
-    must lie in (0, 2/gamma), where the denominator is positive."""
+    C * b^2 * kappa^2, for N >= 2 agents and a positive finite gamma.
+    Broadcasts over lambda2, which must lie in (0, 2/gamma), where the
+    denominator is positive. The one check of N, gamma and lambda2."""
     if n_agents < 2:
         raise ValueError(f"need at least 2 agents, got {n_agents}")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     lam2 = np.asarray(lambda2, dtype=float)
     if not np.all((lam2 > 0) & (lam2 < 2.0 / gamma)):
         raise ValueError("lambda2 must lie in (0, 2/gamma)")
@@ -82,17 +85,12 @@ def corollary1_bound(epsilon, lambda2, *, n_agents: int, gamma: float,
     return out if out.ndim else float(out)
 
 
-def theorem1_bound(g: WeightedGraph, gamma: float, params) -> float:
+def theorem1_bound(p: PerronMatrix, params) -> float:
     """Heterogeneous upper bound on e_ss.
 
     gamma * (N-1)^2 * max_i kappa_i^2 b_i^2 / (N lambda2 (2 - gamma lambda2)).
     params is one PrivacyParams (homogeneous) or a sequence of N of them.
-    Validates the step-size conditions by building the transition matrix.
     """
-    return _theorem1(graphs.build_perron(g, gamma), params)
-
-
-def _theorem1(p: PerronMatrix, params) -> float:
     if isinstance(params, privacy.PrivacyParams):
         params = [params]
     worst = max(q.b * q.b * (q.kappa * q.kappa) for q in params)
@@ -196,20 +194,6 @@ def reproduce_table1(**overrides) -> list:
     return cells
 
 
-def bound_surface(eps_values, lam2_values, *, n_agents: int, delta: float,
-                  b: float, gamma: float) -> np.ndarray:
-    """Grid of homogeneous bounds, shape (len(eps), len(lam2)).
-
-    lambda2 is treated as a free parameter; values at or beyond 2/gamma are
-    rejected because the bound's denominator changes sign there, and
-    epsilon values must be positive.
-    """
-    eps = np.asarray(eps_values, dtype=float).reshape(-1, 1)
-    lam2 = np.asarray(lam2_values, dtype=float).reshape(1, -1)
-    return corollary1_bound(eps, lam2, n_agents=n_agents, gamma=gamma, b=b,
-                            delta=delta)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Everything we can say about e_ss for one configuration."""
@@ -221,21 +205,21 @@ class BoundReport:
     exact_ess: float
 
 
-def bound_report(g: WeightedGraph, gamma: float, params) -> BoundReport:
-    """Exact oracle value plus all bounds for a graph and privacy setup.
+def bound_report(p: PerronMatrix, params) -> BoundReport:
+    """Exact oracle value plus all bounds for a transition matrix and
+    privacy setup.
 
     params is one PrivacyParams or a sequence of N of them; when all N are
     equal the simplified homogeneous bound is reported too.
     """
-    p = graphs.build_perron(g, gamma)
-    plist = ([params] * g.n if isinstance(params, privacy.PrivacyParams)
+    plist = ([params] * p.n if isinstance(params, privacy.PrivacyParams)
              else list(params))
     sigmas = np.array([privacy.noise_scale(q) for q in plist])
     z_diag = dynamics.noise_covariance_diag(p, sigmas)
     lo, hi = lemma7_sandwich(p, z_diag)
     q = plist[0]
-    c1 = (corollary1_bound(q.epsilon, graphs.algebraic_connectivity(g),
-                           n_agents=g.n, gamma=gamma, b=q.b, delta=q.delta)
+    c1 = (corollary1_bound(q.epsilon, graphs.algebraic_connectivity(p.graph),
+                           n_agents=p.n, gamma=p.gamma, b=q.b, delta=q.delta)
           if all(r == q for r in plist) else None)
-    return BoundReport(lo, hi, _theorem1(p, plist), c1,
+    return BoundReport(lo, hi, theorem1_bound(p, plist), c1,
                        exact_ess_oracle(p, z_diag))

@@ -92,11 +92,11 @@ def cmd_simulate(args) -> int:
     if overrides:
         from dataclasses import replace
         cfg = replace(cfg, **overrides)
-    p = cfg.validate_step_size()
+    p = graphs.build_perron(cfg.graph, cfg.gamma)
     sigmas = np.zeros(cfg.graph.n) if args.noiseless else cfg.sigmas
     jobs = args.jobs or os.cpu_count() or 1
 
-    bound = bounds.theorem1_bound(cfg.graph, cfg.gamma, cfg.privacy_params)
+    bound = bounds.theorem1_bound(p, cfg.privacy_params)
     # the simulated protocol noise z = G v has Cov[z] = G diag(sigma^2) G
     gain = dynamics.noise_gain(p)
     exact = bounds.exact_ess_oracle(p, gain @ np.diag(sigmas**2) @ gain)
@@ -182,8 +182,9 @@ def cmd_sweep(args) -> int:
         raise ValueError("--eps-steps and --lam2-steps must be >= 1")
     eps = np.linspace(args.eps_min, args.eps_max, args.eps_steps)
     lam2 = np.linspace(args.lam2_min, args.lam2_max, args.lam2_steps)
-    grid = bounds.bound_surface(eps, lam2, n_agents=args.n,
-                                delta=args.delta, b=args.b, gamma=args.gamma)
+    grid = bounds.corollary1_bound(eps[:, None], lam2[None, :],
+                                   n_agents=args.n, gamma=args.gamma,
+                                   b=args.b, delta=args.delta)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "surface.csv")
     _write_csv(path, ["epsilon", "lambda2", "bound"],
@@ -217,7 +218,8 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = config.load(args.config) if args.config else config.demo_config()
-    rep = bounds.bound_report(cfg.graph, cfg.gamma, list(cfg.privacy_params))
+    rep = bounds.bound_report(graphs.build_perron(cfg.graph, cfg.gamma),
+                              list(cfg.privacy_params))
     print(f"exact e_ss (oracle):      {_fmt(rep.exact_ess)}")
     print(f"sandwich lower bound:     {_fmt(rep.lemma7_lower)}")
     print(f"sandwich upper bound:     {_fmt(rep.lemma7_upper)}")

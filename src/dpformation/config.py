@@ -15,7 +15,7 @@ Schema::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -54,11 +54,6 @@ class RunConfig:
     @property
     def sigmas(self) -> np.ndarray:
         return np.array([privacy.noise_scale(p) for p in self.privacy_params])
-
-    def validate_step_size(self) -> graphs.PerronMatrix:
-        """Build the transition matrix, raising StepSizeTooLarge with the
-        binding node/bound named when gamma is invalid."""
-        return graphs.build_perron(self.graph, self.gamma)
 
 
 # libyaml's C parser when PyYAML was built with it, else the pure-Python one

@@ -239,8 +239,6 @@ def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
     most BURN_IN_TOL * e_ss. Trials are i.i.d., so the half-width is a valid
     95% normal interval from the spread of the per-trial window means.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     burn_in, window = burn_in_and_window(p)
     horizon = burn_in + window
     ens = run_trials(p, sigmas, horizon, trials, master_seed, jobs=jobs,

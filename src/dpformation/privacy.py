@@ -68,10 +68,7 @@ class PrivacyParams:
     b: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must be in (0, 1/2)")
+        kappa(self.delta, self.epsilon)  # checks epsilon and delta
         check_radius(self.b)
         if not TYPICAL_EPS_LO <= self.epsilon <= TYPICAL_EPS_HI:
             warnings.warn(
@@ -85,10 +82,6 @@ class PrivacyParams:
                 f"{TYPICAL_DELTA_MAX}",
                 PrivacyRangeWarning, stacklevel=2,
             )
-
-    @property
-    def k_delta(self) -> float:
-        return q_inverse(self.delta)
 
     @property
     def kappa(self) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import bounds, privacy
 
@@ -31,17 +32,9 @@ class SensitivityPoint:
     lambda2: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        privacy.check_radius(self.b)
-        if not 0.0 < self.lambda2 < 2.0 / self.gamma:
-            raise ValueError("lambda2 must lie in (0, 2/gamma)")
+        self.bound  # corollary1_bound checks every field
 
-    @property
-    def k_delta(self) -> float:
-        return privacy.q_inverse(self.delta)
-
-    @property
+    @cached_property
     def bound(self) -> float:
         return bounds.corollary1_bound(
             self.epsilon, self.lambda2, n_agents=self.n_agents,
@@ -51,7 +44,7 @@ class SensitivityPoint:
     def aux(self) -> float:
         """A = lambda_aux * r, with r = sqrt(K_delta^2 + 2*eps) and
         lambda_aux = K_delta + r; d(ln kappa)/d(eps) = 1/A - 1/eps."""
-        k = self.k_delta
+        k = privacy.q_inverse(self.delta)
         r = math.sqrt(k * k + 2.0 * self.epsilon)
         return (k + r) * r
 

@@ -15,7 +15,6 @@ import pytest
 from dpformation import (
     PrivacyParams,
     algebraic_connectivity,
-    bound_surface,
     build_perron,
     corollary1_bound,
     demo_config,
@@ -34,7 +33,7 @@ from dpformation import (
     trial_rng,
     SensitivityPoint,
 )
-from chain_reference import kemeny_constant, stationary_distribution
+from chain_reference import kemeny_constant
 from step_reference import (
     error_series,
     noiseless_step,
@@ -169,7 +168,7 @@ def test_sandwich_and_ordering():
         if not lo * (1 - 1e-12) <= exact_ess_oracle(p, z) <= hi * (1 + 1e-12):
             violations += 1
         _, hi_hom = lemma7_sandwich(p, noise_covariance_diag(p, sigma))
-        if hi_hom > theorem1_bound(g, p.gamma, params) * (1 + 1e-12):
+        if hi_hom > theorem1_bound(p, params) * (1 + 1e-12):
             violations += 1
     assert violations == 0
     return "0 violations"
@@ -199,8 +198,8 @@ def test_estimator_cross_validation():
               "closed-form bound; noiseless run reaches the formation")
 def test_demo_replication():
     cfg = demo_config(trials=1000, horizon=100, seed=1)
-    p = cfg.validate_step_size()
-    bound = theorem1_bound(cfg.graph, cfg.gamma, list(cfg.privacy_params))
+    p = build_perron(cfg.graph, cfg.gamma)
+    bound = theorem1_bound(p, list(cfg.privacy_params))
 
     for l in range(cfg.formation.dimensions):
         q = cfg.formation.component(l)
@@ -234,8 +233,8 @@ def test_structural_properties():
         m = p.matrix
         assert np.abs(m.sum(axis=0) - 1.0).max() <= 1e-12
         assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-12
-        pi = stationary_distribution(p)  # raises if residual >= 1e-12
-        assert np.allclose(pi, 1.0 / g.n)
+        pi = np.full(g.n, 1.0 / g.n)
+        assert np.abs(pi @ m - pi).max() <= 1e-12
 
         xbar = rng.normal(size=g.n)
         v = rng.normal(size=g.n)
@@ -267,7 +266,8 @@ def test_surface_monotonicity():
     n, delta, gamma, b = 50, 0.01, 0.02, 5.0
     eps = np.linspace(0.1, 1.0, 50)
     lam2 = np.linspace(1.0, 1.0 / gamma, 50)
-    grid = bound_surface(eps, lam2, n_agents=n, delta=delta, b=b, gamma=gamma)
+    grid = corollary1_bound(eps[:, None], lam2[None, :], n_agents=n,
+                            gamma=gamma, b=b, delta=delta)
     assert np.all(np.diff(grid, axis=0) < 0), "not decreasing in epsilon"
     assert np.all(np.diff(grid, axis=1) < 0), "not decreasing in lambda2"
     return "0 monotonicity violations"

@@ -8,7 +8,6 @@ from dpformation import (
     WeightedGraph,
     algebraic_connectivity,
     bound_report,
-    bound_surface,
     build_perron,
     build_standard_topology,
     burn_in_and_window,
@@ -119,12 +118,13 @@ class TestTheorem1Bound:
         # reference from 50-digit evaluation of the closed form
         g = build_standard_topology("star", 5, 1.0)
         params = PrivacyParams(math.log(3), 0.00135, 2.0)
-        assert theorem1_bound(g, 0.2, params) == pytest.approx(
+        assert theorem1_bound(build_perron(g, 0.2), params) == pytest.approx(
             11.864339910243050, rel=1e-12)
 
     def test_decreasing_in_epsilon(self):
         g = build_standard_topology("complete", 6, 0.2)
-        values = [theorem1_bound(g, 0.2, PrivacyParams(e, 0.01, 1.0))
+        p = build_perron(g, 0.2)
+        values = [theorem1_bound(p, PrivacyParams(e, 0.01, 1.0))
                   for e in np.linspace(0.1, 1.0, 10)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -138,20 +138,21 @@ class TestTheorem1Bound:
             gamma = 0.5 / g.max_degree()
             p = build_perron(g, gamma)
             _, hi = lemma7_sandwich(p, noise_covariance_diag(p, sigma))
-            assert hi <= theorem1_bound(g, gamma, params) * (1 + 1e-12)
+            assert hi <= theorem1_bound(p, params) * (1 + 1e-12)
 
     def test_invalid_gamma_reported(self):
         g = build_standard_topology("star", 5, 1.0)
         from dpformation import StepSizeTooLarge
         with pytest.raises(StepSizeTooLarge):
-            theorem1_bound(g, 0.5, PrivacyParams(0.5, 0.01, 1.0))
+            theorem1_bound(build_perron(g, 0.5),
+                           PrivacyParams(0.5, 0.01, 1.0))
 
     def test_matches_homogeneous_specialization(self):
         g = build_standard_topology("cycle", 8, 1.0)
         params = PrivacyParams(0.4, 0.01, 1.5)
         expected = corollary1_bound(0.4, algebraic_connectivity(g),
                                     n_agents=8, gamma=0.2, b=1.5, delta=0.01)
-        assert theorem1_bound(g, 0.2, params) == pytest.approx(
+        assert theorem1_bound(build_perron(g, 0.2), params) == pytest.approx(
             expected, rel=1e-10)
 
 
@@ -252,30 +253,48 @@ class TestTable1:
 
 
 class TestBoundSurface:
+    """The sweep's grid: corollary1_bound broadcast over an epsilon column
+    and a lambda2 row."""
+
+    KW = dict(n_agents=50, delta=0.01, b=5.0, gamma=0.02)
+
     def test_single_cell_matches_bound(self):
-        grid = bound_surface([0.3], [4.0], n_agents=50, delta=0.01, b=5.0,
-                             gamma=0.02)
-        expected = corollary1_bound(0.3, 4.0, n_agents=50, gamma=0.02,
-                                    b=5.0, delta=0.01)
-        assert grid[0, 0] == expected
+        grid = corollary1_bound(np.array([[0.3]]), np.array([[4.0]]),
+                                **self.KW)
+        assert grid.shape == (1, 1)
+        assert grid[0, 0] == corollary1_bound(0.3, 4.0, **self.KW)
 
     def test_monotone_in_epsilon(self):
-        grid = bound_surface(np.linspace(0.1, 1.0, 12), [2.0, 10.0],
-                             n_agents=50, delta=0.01, b=5.0, gamma=0.02)
+        grid = corollary1_bound(np.linspace(0.1, 1.0, 12)[:, None],
+                                np.array([2.0, 10.0])[None, :], **self.KW)
+        assert grid.shape == (12, 2)
         assert np.all(np.diff(grid, axis=0) < 0)
 
     def test_rejects_lambda2_beyond_denominator_flip(self):
         with pytest.raises(ValueError, match="2/gamma"):
-            bound_surface([0.5], [100.0], n_agents=50, delta=0.01, b=5.0,
-                          gamma=0.02)
+            corollary1_bound(np.array([[0.5]]), np.array([[4.0, 100.0]]),
+                             **self.KW)
 
     @pytest.mark.parametrize("eps", [0.0, -0.5])
     def test_rejects_nonpositive_epsilon(self, eps):
-        kw = dict(n_agents=50, delta=0.01, b=5.0, gamma=0.02)
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            bound_surface([eps, 0.5], [4.0], **kw)
+            corollary1_bound(np.array([[eps], [0.5]]), np.array([[4.0]]),
+                             **self.KW)
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            corollary1_bound(eps, 4.0, **kw)
+            corollary1_bound(eps, 4.0, **self.KW)
+
+
+class TestGammaValidation:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_bound_and_threshold_reject_gamma(self, gamma):
+        with pytest.raises(ValueError,
+                           match="gamma must be positive and finite"):
+            corollary1_bound(0.5, 4.0, n_agents=50, gamma=gamma, b=5.0,
+                             delta=0.01)
+        with pytest.raises(ValueError,
+                           match="gamma must be positive and finite"):
+            epsilon_threshold_numeric(1.0, gamma=gamma, delta=0.01, b=5.0,
+                                      n_agents=10, e_r=100.0)
 
 
 class TestRadiusValidation:
@@ -284,8 +303,6 @@ class TestRadiusValidation:
         calls = [
             lambda: corollary1_bound(0.5, 4.0, n_agents=50, gamma=0.02, b=b,
                                      delta=0.01),
-            lambda: bound_surface([0.5], [4.0], n_agents=50, gamma=0.02,
-                                  b=b, delta=0.01),
             lambda: epsilon_threshold_numeric(1.0, gamma=1e-4, delta=0.01,
                                               b=b, n_agents=10, e_r=100.0),
             lambda: epsilon_threshold_closed_form(
@@ -303,7 +320,7 @@ class TestBoundReport:
     def test_demo_report_is_consistent(self):
         g = build_standard_topology("star", 5, 1.0)
         params = PrivacyParams(math.log(3), 0.00135, 2.0)
-        rep = bound_report(g, 0.2, params)
+        rep = bound_report(build_perron(g, 0.2), params)
         assert rep.lemma7_lower <= rep.exact_ess <= rep.lemma7_upper
         assert rep.lemma7_upper <= rep.theorem1_upper
         assert rep.corollary1_upper == pytest.approx(rep.theorem1_upper,
@@ -312,7 +329,7 @@ class TestBoundReport:
     def test_heterogeneous_report(self):
         g = build_standard_topology("line", 4, 1.0)
         plist = [PrivacyParams(0.3 + 0.1 * i, 0.01, 1.0) for i in range(4)]
-        rep = bound_report(g, 0.3, plist)
+        rep = bound_report(build_perron(g, 0.3), plist)
         assert rep.corollary1_upper is None
         assert rep.lemma7_lower <= rep.exact_ess <= rep.lemma7_upper
         assert rep.exact_ess <= rep.theorem1_upper
@@ -320,6 +337,6 @@ class TestBoundReport:
     def test_equal_params_list_is_homogeneous(self):
         g = build_standard_topology("star", 5, 1.0)
         params = PrivacyParams(math.log(3), 0.00135, 2.0)
-        rep = bound_report(g, 0.2, [params] * 5)
+        rep = bound_report(build_perron(g, 0.2), [params] * 5)
         assert rep.corollary1_upper == pytest.approx(rep.theorem1_upper,
                                                      rel=1e-12)

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import yaml
 
 from dpformation import corollary1_bound
 from dpformation.cli import main
+from dpformation.privacy import PrivacyRangeWarning
 
 
 def run(capsys, *argv):
@@ -38,6 +41,8 @@ privacy:
 formation:
   anchors: [[0.0], [1.0], [2.0]]
 """
+
+BAD_GAMMAS = ["0", "-1", "nan", "inf"]
 
 
 class TestSimulate:
@@ -84,6 +89,21 @@ class TestSimulate:
                            "--out", str(tmp_path / "o"))
         assert code == 2
         assert "node 0" in err  # the binding constraint is named
+
+    def test_nan_epsilon_exits_2_without_range_warning(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "nan.yaml"
+        cfg.write_text(DEMO_CONFIG.replace("epsilon: 1.0986122886681098",
+                                           "epsilon: .nan"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text, err = run(capsys, "simulate", "--config", str(cfg),
+                                  "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "epsilon must be positive" in err
+        assert text == ""
+        assert not [w for w in caught
+                    if issubclass(w.category, PrivacyRangeWarning)]
 
     def test_missing_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -153,6 +173,15 @@ class TestDesign:
         assert "adjacency radius b must be positive and finite" in err
         assert "closed form" not in text
 
+    @pytest.mark.parametrize("gamma", BAD_GAMMAS)
+    @pytest.mark.parametrize("table1", [[], ["--table1"]],
+                             ids=["single", "table1"])
+    def test_invalid_gamma_exits_2(self, capsys, gamma, table1):
+        code, text, err = run(capsys, "design", "--gamma", gamma, *table1)
+        assert code == 2
+        assert f"gamma must be positive and finite, got {float(gamma)}" in err
+        assert "closed form" not in text
+
     @pytest.mark.parametrize("n, kind", [
         (n, kind) for n in ("0", "1")
         for kind in ("complete", "cycle", "line", "star")] + [("2", "cycle")])
@@ -207,6 +236,14 @@ class TestSweep:
         assert "validation error" in err
         assert not (tmp_path / "surface.csv").exists()
 
+    @pytest.mark.parametrize("gamma", BAD_GAMMAS)
+    def test_invalid_gamma_exits_2(self, tmp_path, capsys, gamma):
+        code, _, err = run(capsys, "sweep", "--gamma", gamma,
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert f"gamma must be positive and finite, got {float(gamma)}" in err
+        assert not (tmp_path / "surface.csv").exists()
+
     def test_lambda2_out_of_range_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--lam2-max", "200",
                            "--out", str(tmp_path))
@@ -235,6 +272,14 @@ class TestSensitivityCommand:
                               "--lambda2", "1", "--b", b)
         assert code == 2
         assert "adjacency radius b must be positive and finite" in err
+        assert text == ""
+
+    @pytest.mark.parametrize("gamma", BAD_GAMMAS)
+    def test_invalid_gamma_exits_2(self, capsys, gamma):
+        code, text, err = run(capsys, "sensitivity", "--epsilon", "0.5",
+                              "--lambda2", "1", "--gamma", gamma)
+        assert code == 2
+        assert f"gamma must be positive and finite, got {float(gamma)}" in err
         assert text == ""
 
 

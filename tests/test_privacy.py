@@ -120,13 +120,13 @@ class TestNoiseScale:
 
     def test_derived_fields_positive(self):
         p = PrivacyParams(0.3, 0.01, 1.5)
-        assert p.k_delta > 0
+        assert p.kappa > 0
         assert noise_scale(p) > 0
 
 
 class TestPrivacyParamsValidation:
     @pytest.mark.parametrize("eps,delta,b", [
-        (0.0, 0.01, 1.0), (-1.0, 0.01, 1.0),
+        (0.0, 0.01, 1.0), (-1.0, 0.01, 1.0), (math.nan, 0.001, 1.0),
         (0.5, 0.0, 1.0), (0.5, 0.5, 1.0),
         (0.5, 0.01, 0.0),
     ])

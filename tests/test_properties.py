@@ -68,9 +68,8 @@ def test_oracle_inside_lemma7_sandwich(cfg):
 @SETTINGS
 @given(configs())
 def test_oracle_below_theorem1_bound(cfg):
-    g, p, params, z = cfg
-    assert exact_ess_oracle(p, z) <= theorem1_bound(g, p.gamma, params) \
-        * (1 + 1e-12)
+    _, p, params, z = cfg
+    assert exact_ess_oracle(p, z) <= theorem1_bound(p, params) * (1 + 1e-12)
 
 
 @SETTINGS

@@ -72,11 +72,20 @@ class TestPartialLambda2:
             make_point(lambda2=25.0, gamma=0.1)  # >= 2/gamma
         with pytest.raises(ValueError):
             make_point(epsilon=0.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            make_point(epsilon=float("nan"))
 
     @pytest.mark.parametrize("b", [-1.0, 0.0, float("nan"), float("inf")])
     def test_radius_validation(self, b):
         with pytest.raises(ValueError, match="radius b"):
             make_point(b=b)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_gamma_validation(self, gamma):
+        with pytest.raises(ValueError,
+                           match="gamma must be positive and finite"):
+            make_point(gamma=gamma)
 
 
 class TestTheorem3Thresholds:
