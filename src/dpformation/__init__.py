@@ -30,7 +30,7 @@ from .dynamics import (
     noise_covariance_diag,
     noise_gain,
     run_trials,
-    trial_rng,
+    trial_rngs,
 )
 from .bounds import (
     BoundReport,

@@ -60,11 +60,10 @@ def _prefactor(n_agents: int, gamma: float, lambda2):
     """C = gamma (N-1)^2 / (N lambda2 (2 - gamma lambda2)); every bound is
     C * b^2 * kappa^2, for N >= 2 agents and a positive finite gamma.
     Broadcasts over lambda2, which must lie in (0, 2/gamma), where the
-    denominator is positive. The one check of N, gamma and lambda2."""
+    denominator is positive. The one check of N and lambda2."""
     if n_agents < 2:
         raise ValueError(f"need at least 2 agents, got {n_agents}")
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    privacy.check_gamma(gamma)
     lam2 = np.asarray(lambda2, dtype=float)
     if not np.all((lam2 > 0) & (lam2 < 2.0 / gamma)):
         raise ValueError("lambda2 must lie in (0, 2/gamma)")
@@ -105,10 +104,11 @@ def epsilon_threshold_numeric(lambda2: float, *, gamma: float, delta: float,
     The bound C * b^2 * kappa(eps)^2 is strictly decreasing in eps and
     meets e_r at kappa* = sqrt(e_r / (b^2 C)); inverting
     K + sqrt(K^2 + 2 eps) = 2 eps kappa gives the exact threshold
-    eps* = (1 + 2 kappa* K) / (2 kappa*^2), positive for every e_r > 0.
+    eps* = (1 + 2 kappa* K) / (2 kappa*^2), positive for every finite
+    e_r > 0.
     """
-    if not e_r > 0:
-        raise ValueError("e_r must be positive")
+    if not (e_r > 0 and math.isfinite(e_r)):
+        raise ValueError(f"e_r must be positive and finite, got {e_r}")
     privacy.check_radius(b)
     k = privacy.q_inverse(delta)
     kap = math.sqrt(e_r / (b * b * _prefactor(n_agents, gamma, lambda2)))
@@ -128,6 +128,7 @@ def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
     epsilon_threshold_numeric for the exact inversion of the bound.
     """
     privacy.check_radius(b)
+    privacy.check_gamma(gamma)
     k = privacy.q_inverse(delta)
     if kind == "impossibility":
         if lambda2 is None:

@@ -50,6 +50,9 @@ class RunConfig:
                 f"for {self.graph.n} agents")
         if self.horizon < 1 or self.trials < 1:
             raise ConfigError("horizon and trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(
+                f"seed must be non-negative, got {self.master_seed}")
 
     @property
     def sigmas(self) -> np.ndarray:

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .graphs import PerronMatrix
 
@@ -58,15 +59,107 @@ def noise_covariance_diag(p: PerronMatrix, sigmas) -> np.ndarray:
     return noise_gain(p) ** 2 @ sigmas**2
 
 
-def trial_rng(master_seed, trial: int) -> np.random.Generator:
-    """Independent generator for one trial, derived from the master seed."""
+# numpy's SeedSequence hash constants and pool size
+# (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_M32 = 0xFFFFFFFF
+
+
+def _uint32_words(i: int) -> list:
+    """Little-endian 32-bit words of a non-negative int, [0] for 0, as
+    SeedSequence reads an entropy entry."""
+    if i < 0:
+        raise ValueError(f"seed key entries must be non-negative, got {i}")
+    words = [i & _M32]
+    while i > _M32:
+        i >>= 32
+        words.append(i & _M32)
+    return words
+
+
+class _PcgSeed(ISeedSequence):
+    """One trial's precomputed SeedSequence.generate_state(4, uint64),
+    handed to PCG64 through numpy's ISeedSequence interface."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("_PcgSeed only seeds PCG64")
+        return self.state
+
+
+def trial_rngs(master_seed, t_lo: int, t_hi: int) -> list:
+    """Independent generators for trials t_lo ... t_hi - 1.
+
+    Trial t gets the generator numpy's default_rng builds from a
+    SeedSequence with entropy (len(key),) + key, where
+    key = (master_seed, t) for an int master seed and
+    key = (*master_seed, t) for a sequence. The length prefix keeps
+    (5, 0) and (5, 0, 0) apart: SeedSequence pads short entropy with
+    zero words, so they would otherwise collide.
+
+    All trials share the key's leading words and differ in the last one,
+    so SeedSequence's pool mixing and generate_state run here once as
+    uint32 array operations over the trials; the hash constants advance
+    independently of the data. The generators draw exactly what numpy's
+    own SeedSequence would give them.
+    """
+    if not 0 <= t_lo <= t_hi <= 2**32:
+        raise ValueError(
+            f"trial range [{t_lo}, {t_hi}) must lie in [0, 2**32)")
     if isinstance(master_seed, (int, np.integer)):
-        key = (int(master_seed), trial)
+        key = (int(master_seed),)
     else:
-        key = tuple(int(s) for s in master_seed) + (trial,)
-    # length prefix: SeedSequence entropy ignores trailing zero words, so
-    # (5, 0) and (5, 0, 0) would otherwise collide
-    return np.random.default_rng(np.random.SeedSequence((len(key),) + key))
+        key = tuple(int(s) for s in master_seed)
+    prefix = [w for i in (len(key) + 1,) + key for w in _uint32_words(i)]
+    count = t_hi - t_lo
+    entropy = np.empty((len(prefix) + 1, count), dtype=np.uint32)
+    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(t_lo, t_hi, dtype=np.uint64)  # one word each
+
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _M32
+        value *= np.uint32(hash_a)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return r ^ (r >> np.uint32(16))
+
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(entropy)):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    # generate_state(4, uint64): 8 words cycling through the pool, paired
+    # little-endian into uint64
+    hash_b = _INIT_B
+    words = []
+    for i in range(8):
+        w = pool[i % _POOL] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _M32
+        w *= np.uint32(hash_b)
+        words.append(w ^ (w >> np.uint32(16)))
+    low = np.stack(words[0::2], axis=1).astype(np.uint64)
+    high = np.stack(words[1::2], axis=1).astype(np.uint64)
+    state = high << np.uint64(32) | low
+    return [np.random.Generator(np.random.PCG64(_PcgSeed(row)))
+            for row in state]
 
 
 # noise draws per trial per time block of run_trials: a block buffer takes
@@ -79,19 +172,22 @@ BLOCK_DRAWS = 1024
 class TrialEnsemble:
     """Trial-averaged error series of a Monte Carlo run."""
 
-    e_agg_mean: np.ndarray      # (horizon+1,) averaged across trials
+    # the e_agg_* rows are steps first_step ... horizon of run_trials
+    e_agg_mean: np.ndarray      # (rows,) averaged across trials
     e_agg_sem: np.ndarray       # standard error of the mean, per step
-    e_agg_trials: np.ndarray    # (horizon+1, trials) per-trial series
+    e_agg_trials: np.ndarray    # (rows, trials) per-trial series
     first_trajectory: np.ndarray  # (horizon+1, N) xbar of trial 0
 
 
 def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
                master_seed, xbar0=None, jobs: int = 1,
-               noise_model: str = "protocol") -> TrialEnsemble:
+               noise_model: str = "protocol",
+               first_step: int = 0) -> TrialEnsemble:
     """Simulate independent seeded trials of the private dynamics.
 
-    Trial t draws its noise from a generator keyed by (master_seed, t), so
-    results are independent of how trials are chunked across workers.
+    Trial t draws its noise from a generator keyed by (master_seed, t)
+    (trial_rngs), so results are independent of how trials are chunked
+    across workers.
     Each worker walks the horizon in time blocks of about BLOCK_DRAWS draws
     per trial, refilling its buffers from the same generators block after
     block; the draws, and so the results, are those of one whole-horizon
@@ -107,6 +203,10 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
       variance s_i^2 = gamma^2 * sum_j w_ij^2 sigma_j^2. This is the
       process the Kemeny sandwich describes; the marginal variances match
       the protocol but cross-correlations are dropped.
+
+    The squared-error series, its mean and its standard error cover steps
+    first_step ... horizon only; earlier steps are simulated but not
+    reduced. first_trajectory always covers every step.
     """
     if noise_model not in ("protocol", "network"):
         raise ValueError(f"unknown noise_model {noise_model!r}")
@@ -114,6 +214,9 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         raise ValueError("trials must be >= 1")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    if not 0 <= first_step <= horizon:
+        raise ValueError(
+            f"first_step must lie in [0, horizon={horizon}], got {first_step}")
     n = p.n
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
@@ -124,7 +227,7 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
 
     def run_chunk(t_lo, t_hi):
         count = t_hi - t_lo
-        rngs = [trial_rng(master_seed, t) for t in range(t_lo, t_hi)]
+        rngs = trial_rngs(master_seed, t_lo, t_hi)
         # trial-major, so each generator fills one contiguous run
         v = np.empty((count, block, n))
         # z[j] is the (count, n) perturbation of the block's step j
@@ -136,7 +239,7 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         # memory doubles as the scratch for the centered states
         dev = v.reshape(block, count, n)
         mean = np.empty((block, count, 1))
-        e_agg = np.empty((horizon + 1, count))
+        e_agg = np.empty((horizon + 1 - first_step, count))
         traj = np.empty((horizon + 1, n)) if t_lo == 0 else None
 
         def mean_square_error(states, out):
@@ -150,7 +253,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
             np.sum(dev[:b], axis=2, out=out)
             out /= n
 
-        mean_square_error(x[:1], e_agg[:1])
+        if first_step == 0:
+            mean_square_error(x[:1], e_agg[:1])
         if traj is not None:
             traj[0] = x0
         for k0 in range(0, horizon, block):
@@ -166,7 +270,12 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
             for j in range(b):
                 np.matmul(x[j], p.matrix, out=x[j + 1])  # P is symmetric
                 x[j + 1] += z[j]
-            mean_square_error(x[1:b + 1], e_agg[k0 + 1:k0 + b + 1])
+            # block step j is run step k0 + j; reduce those >= first_step
+            j0 = max(1, first_step - k0)
+            if j0 <= b:
+                mean_square_error(x[j0:b + 1],
+                                  e_agg[k0 + j0 - first_step:
+                                        k0 + b + 1 - first_step])
             if traj is not None:
                 traj[k0 + 1:k0 + b + 1] = x[1:b + 1, 0]
             x[0] = x[b]
@@ -188,7 +297,7 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
              else np.concatenate([r[0] for r in results], axis=1))
     first_traj = results[0][1]
     sem = e_agg.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 \
-        else np.zeros(horizon + 1)
+        else np.zeros(len(e_agg))
     return TrialEnsemble(e_agg.mean(axis=1), sem, e_agg, first_traj)
 
 
@@ -242,8 +351,8 @@ def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
     burn_in, window = burn_in_and_window(p)
     horizon = burn_in + window
     ens = run_trials(p, sigmas, horizon, trials, master_seed, jobs=jobs,
-                     noise_model=noise_model)
-    trial_means = ens.e_agg_trials[burn_in + 1:].mean(axis=0)
+                     noise_model=noise_model, first_step=burn_in + 1)
+    trial_means = ens.e_agg_trials.mean(axis=0)
     value = float(trial_means.mean())
     if trials > 1:
         hw = 1.96 * float(np.std(trial_means, ddof=1)) / math.sqrt(trials)

@@ -82,6 +82,7 @@ def theorem3_thresholds(epsilon: float, delta: float,
     lambda2 > eta1 - sqrt(rad + alpha) and lambda2 < eta2 - sqrt(-rad + alpha)
     literally. Raises on a negative radicand.
     """
+    privacy.check_gamma(gamma)
     k = privacy.q_inverse(delta)
     alpha = (epsilon**2 + 1.5 * epsilon * k**2 + 1.0 / gamma**2 + k**4 / 2.0)
     s = math.sqrt(2.0 * epsilon * k**2 + k**4)

@@ -7,6 +7,9 @@ noise at once, mix the full (horizon, trials, N) tensor, and reduce one
 step at a time. It needs 2 * 8 * horizon * trials * N bytes, so it lives
 next to the tests, not in the library.
 
+trial_rng seeds one trial through numpy's own SeedSequence, the keying
+that dynamics.trial_rngs reproduces with batched uint32 arithmetic.
+
 window_mean_variance is the exact second moment of what estimate_ess
 averages, so the tests can check the spread of the simulated noise and not
 only its mean.
@@ -20,8 +23,18 @@ from dpformation.dynamics import (
     TrialEnsemble,
     noise_covariance_diag,
     noise_gain,
-    trial_rng,
 )
+
+
+def trial_rng(master_seed, trial: int) -> np.random.Generator:
+    """Independent generator for one trial, derived from the master seed."""
+    if isinstance(master_seed, (int, np.integer)):
+        key = (int(master_seed), trial)
+    else:
+        key = tuple(int(s) for s in master_seed) + (trial,)
+    # length prefix: SeedSequence entropy ignores trailing zero words, so
+    # (5, 0) and (5, 0, 0) would otherwise collide
+    return np.random.default_rng(np.random.SeedSequence((len(key),) + key))
 
 
 def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,

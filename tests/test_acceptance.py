@@ -30,10 +30,10 @@ from dpformation import (
     run_trials,
     theorem1_bound,
     theorem3_thresholds,
-    trial_rng,
     SensitivityPoint,
 )
 from chain_reference import kemeny_constant
+from mc_reference import trial_rng
 from step_reference import (
     error_series,
     noiseless_step,

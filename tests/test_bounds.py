@@ -197,7 +197,8 @@ class TestEpsilonThreshold:
             assert abs(c.numeric - ref) <= 1e-13 * ref, (c.kind, c.n)
 
     def test_invalid_target(self):
-        for n, e_r in [(10, -1.0), (10, math.nan), (1, 1.0)]:
+        for n, e_r in [(10, -1.0), (10, math.nan), (10, math.inf),
+                       (1, 1.0)]:
             with pytest.raises(ValueError):
                 epsilon_threshold_numeric(1.0, gamma=1e-4, delta=0.01, b=5.0,
                                           n_agents=n, e_r=e_r)
@@ -295,6 +296,12 @@ class TestGammaValidation:
                            match="gamma must be positive and finite"):
             epsilon_threshold_numeric(1.0, gamma=gamma, delta=0.01, b=5.0,
                                       n_agents=10, e_r=100.0)
+        for kind in ("impossibility", "complete", "cycle", "line", "star"):
+            with pytest.raises(ValueError,
+                               match="gamma must be positive and finite"):
+                epsilon_threshold_closed_form(kind, 10, gamma=gamma,
+                                              delta=0.01, b=5.0, w=1.0,
+                                              e_r=100.0, lambda2=1.0)
 
 
 class TestRadiusValidation:

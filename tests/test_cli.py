@@ -105,6 +105,23 @@ class TestSimulate:
         assert not [w for w in caught
                     if issubclass(w.category, PrivacyRangeWarning)]
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exits_2_before_output(self, tmp_path, capsys,
+                                                  where):
+        cfg = tmp_path / "run.yaml"
+        if where == "config":
+            cfg.write_text(DEMO_CONFIG.replace("seed: 7", "seed: -1"))
+            argv = ["--config", str(cfg)]
+        else:
+            cfg.write_text(DEMO_CONFIG)
+            argv = ["--config", str(cfg), "--seed", "-1"]
+        code, text, err = run(capsys, "simulate", *argv,
+                              "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "seed must be non-negative, got -1" in err
+        assert text == ""
+        assert not (tmp_path / "o").exists()
+
     def test_missing_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("graph: {kind: star, n: 5}\n")
@@ -181,6 +198,15 @@ class TestDesign:
         assert code == 2
         assert f"gamma must be positive and finite, got {float(gamma)}" in err
         assert "closed form" not in text
+
+    @pytest.mark.parametrize("e_r", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("table1", [[], ["--table1"]],
+                             ids=["single", "table1"])
+    def test_invalid_target_exits_2(self, capsys, e_r, table1):
+        code, text, err = run(capsys, "design", "--e-r", e_r, *table1)
+        assert code == 2
+        assert f"e_r must be positive and finite, got {float(e_r)}" in err
+        assert text == ""
 
     @pytest.mark.parametrize("n, kind", [
         (n, kind) for n in ("0", "1")

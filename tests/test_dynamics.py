@@ -15,7 +15,7 @@ from dpformation import (
     random_connected_graph,
     run_trials,
 )
-from dpformation.dynamics import BLOCK_DRAWS, noise_gain, trial_rng
+from dpformation.dynamics import BLOCK_DRAWS, noise_gain, trial_rngs
 from mc_reference import whole_tensor_run_trials, window_mean_variance
 from step_reference import (
     beta,
@@ -198,6 +198,12 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="horizon"):
             run_trials(p, 1.0, -1, 3, 0)
 
+    @pytest.mark.parametrize("first_step", [-1, 6])
+    def test_rejects_first_step_outside_horizon(self, star5, first_step):
+        _, p = star5
+        with pytest.raises(ValueError, match="first_step"):
+            run_trials(p, 1.0, 5, 3, 0, first_step=first_step)
+
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_zero_horizon_is_the_initial_row(self, star5, jobs):
         _, p = star5
@@ -211,7 +217,9 @@ class TestRunTrials:
 
 class TestStreamingMatchesWholeTensor:
     """The time-blocked kernel against the whole-tensor reference, bit for
-    bit, at horizons around the block boundaries."""
+    bit, at horizons around the block boundaries, with the error series
+    reduced from step 0, step 1, the first block boundary and the last
+    step."""
 
     @pytest.mark.parametrize("n", [3, 8, 20])
     @pytest.mark.parametrize("noise_model", ["protocol", "network"])
@@ -224,15 +232,19 @@ class TestStreamingMatchesWholeTensor:
         p = build_perron(g, 0.5 / g.max_degree())
         sigmas = np.linspace(0.5, 2.0, n)
         xbar0 = np.linspace(-3.0, 5.0, n)
-        h = blocks * -(-BLOCK_DRAWS // n) + extra
+        block = -(-BLOCK_DRAWS // n)
+        h = blocks * block + extra
         args = (p, sigmas, h, 5, (11, n))
         kw = dict(xbar0=xbar0, jobs=jobs, noise_model=noise_model)
-        got = run_trials(*args, **kw)
         want = whole_tensor_run_trials(*args, **kw)
-        for field in ("e_agg_trials", "e_agg_mean", "e_agg_sem",
-                      "first_trajectory"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), \
-                field
+        for first_step in (0, 1, min(block, h), h):
+            got = run_trials(*args, first_step=first_step, **kw)
+            for field in ("e_agg_trials", "e_agg_mean", "e_agg_sem"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field)[first_step:]), \
+                    (first_step, field)
+            assert np.array_equal(got.first_trajectory,
+                                  want.first_trajectory), first_step
 
 
 class TestRunTrialsMemory:
@@ -267,11 +279,23 @@ class TestDimensionDecomposition:
             assert np.array_equal(full.e_agg_trials, scalar.e_agg_trials)
 
     def test_trial_rng_keying(self):
-        a = trial_rng(5, 0).standard_normal(4)
-        b = trial_rng((5, 0), 0).standard_normal(4)
-        c = trial_rng(5, 0).standard_normal(4)
-        assert np.array_equal(a, c)
-        assert not np.array_equal(a, b)
+        # an int master seed s keys trial t as (s, t), a tuple as (*s, t)
+        a = trial_rngs(5, 0, 2)
+        b = trial_rngs((5, 0), 0, 2)
+        c = trial_rngs(5, 1, 2)
+        d = trial_rngs((5,), 0, 2)
+        draw = [g.standard_normal(4) for g in a]
+        assert np.array_equal(draw[1], c[0].standard_normal(4))
+        assert np.array_equal(draw[0], d[0].standard_normal(4))
+        assert not np.array_equal(draw[0], draw[1])
+        assert not np.array_equal(draw[0], b[0].standard_normal(4))
+        assert trial_rngs(5, 3, 3) == []
+        for seed in (-1, (5, -2)):
+            with pytest.raises(ValueError, match="non-negative"):
+                trial_rngs(seed, 0, 2)
+        for lo, hi in ((-1, 2), (0, 2**32 + 1), (3, 2)):
+            with pytest.raises(ValueError, match="trial range"):
+                trial_rngs(5, lo, hi)
 
 
 def criterion6_setup(seed):

@@ -1,5 +1,5 @@
-"""Property tests for the spectral core, the Monte Carlo plan and the
-design path.
+"""Property tests for the spectral core, the Monte Carlo plan and its
+trial seeding, and the design path.
 
 Graphs come from random_connected_graph (weights in (0.1, 1]), with step
 size gamma in [0.05, 0.5] / d_max and heterogeneous per-agent privacy; the
@@ -23,8 +23,10 @@ from dpformation import (
     noise_scale,
     random_connected_graph,
     theorem1_bound,
+    trial_rngs,
 )
 from lyapunov_reference import iterative_ess_oracle
+from mc_reference import trial_rng
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -100,3 +102,25 @@ def test_threshold_bound_round_trip(log_e_r, n, log_delta, b, gamma, frac):
     eps = epsilon_threshold_numeric(lam2, e_r=e_r, **kw)
     assert eps > 0
     assert abs(corollary1_bound(eps, lam2, **kw) - e_r) <= 1e-12 * e_r
+
+
+SEED_ENTRIES = st.integers(0, 2**70 - 1)
+
+
+@SETTINGS
+@given(master_seed=st.one_of(SEED_ENTRIES,
+                             st.tuples(SEED_ENTRIES),
+                             st.tuples(SEED_ENTRIES, SEED_ENTRIES),
+                             st.tuples(SEED_ENTRIES, SEED_ENTRIES,
+                                       SEED_ENTRIES)),
+       t_lo=st.integers(0, 2**32 - 1), count=st.integers(0, 5))
+def test_batched_trial_seeding_matches_seed_sequence(master_seed, t_lo,
+                                                     count):
+    t_hi = min(t_lo + count, 2**32)
+    rngs = trial_rngs(master_seed, t_lo, t_hi)
+    assert len(rngs) == t_hi - t_lo
+    for t, g in zip(range(t_lo, t_hi), rngs):
+        want = trial_rng(master_seed, t)
+        assert np.array_equal(g.standard_normal(3), want.standard_normal(3))
+        assert np.array_equal(g.integers(0, 2**63, 2),
+                              want.integers(0, 2**63, 2))

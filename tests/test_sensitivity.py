@@ -86,6 +86,9 @@ class TestPartialLambda2:
         with pytest.raises(ValueError,
                            match="gamma must be positive and finite"):
             make_point(gamma=gamma)
+        with pytest.raises(ValueError,
+                           match="gamma must be positive and finite"):
+            theorem3_thresholds(0.5, 0.01, gamma)
 
 
 class TestTheorem3Thresholds:
