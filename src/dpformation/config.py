@@ -73,15 +73,25 @@ def _check_keys(spec: dict, allowed: tuple, where: str) -> None:
                               f"(allowed: {', '.join(allowed)})")
 
 
+def _integer(value, what: str) -> int:
+    """value itself if it is an integer; a float, bool or string is
+    refused, not truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_graph(spec: dict) -> WeightedGraph:
     _check_keys(spec, ("kind", "n", "w", "nodes", "edges"), "graph")
     if "kind" in spec:
         return graphs.build_standard_topology(
-            spec["kind"], int(spec["n"]), float(spec.get("w", 1.0)))
+            spec["kind"], _integer(spec["n"], "graph n"),
+            float(spec.get("w", 1.0)))
     if "nodes" in spec:
-        edges = tuple((int(i) - 1, int(j) - 1, float(w))
+        edges = tuple((_integer(i, "edge endpoint") - 1,
+                       _integer(j, "edge endpoint") - 1, float(w))
                       for i, j, w in spec.get("edges", []))
-        return WeightedGraph(int(spec["nodes"]), edges)
+        return WeightedGraph(_integer(spec["nodes"], "graph nodes"), edges)
     raise ConfigError("graph spec needs either 'kind' or 'nodes'")
 
 
@@ -108,9 +118,9 @@ def from_mapping(data: dict) -> RunConfig:
         return RunConfig(
             graph=g,
             gamma=float(data["gamma"]),
-            horizon=int(data.get("horizon", 100)),
-            trials=int(data.get("trials", 1000)),
-            master_seed=int(data.get("seed", 0)),
+            horizon=_integer(data.get("horizon", 100), "horizon"),
+            trials=_integer(data.get("trials", 1000), "trials"),
+            master_seed=_integer(data.get("seed", 0), "seed"),
             privacy_params=parse_privacy(data["privacy"], g.n),
             formation=FormationSpec(np.asarray(data["formation"]["anchors"],
                                                dtype=float)),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -170,13 +171,26 @@ BLOCK_DRAWS = 1024
 
 @dataclass(frozen=True)
 class TrialEnsemble:
-    """Trial-averaged error series of a Monte Carlo run."""
+    """Per-trial error series of a Monte Carlo run; the trial average and
+    its standard error are derived from them on first use."""
 
     # the e_agg_* rows are steps first_step ... horizon of run_trials
-    e_agg_mean: np.ndarray      # (rows,) averaged across trials
-    e_agg_sem: np.ndarray       # standard error of the mean, per step
     e_agg_trials: np.ndarray    # (rows, trials) per-trial series
     first_trajectory: np.ndarray  # (horizon+1, N) xbar of trial 0
+
+    @cached_property
+    def e_agg_mean(self) -> np.ndarray:
+        """(rows,) averaged across trials."""
+        return self.e_agg_trials.mean(axis=1)
+
+    @cached_property
+    def e_agg_sem(self) -> np.ndarray:
+        """Standard error of the mean, per step; zeros for a single
+        trial."""
+        rows, trials = self.e_agg_trials.shape
+        if trials == 1:
+            return np.zeros(rows)
+        return self.e_agg_trials.std(axis=1, ddof=1) / math.sqrt(trials)
 
 
 def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
@@ -295,10 +309,7 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
 
     e_agg = (results[0][0] if len(results) == 1
              else np.concatenate([r[0] for r in results], axis=1))
-    first_traj = results[0][1]
-    sem = e_agg.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 \
-        else np.zeros(len(e_agg))
-    return TrialEnsemble(e_agg.mean(axis=1), sem, e_agg, first_traj)
+    return TrialEnsemble(e_agg, results[0][1])
 
 
 # bias bound of estimate_ess, relative to e_ss: the start-up transient left

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order
+
 
 class StepSizeTooLarge(ValueError):
     """Raised when gamma violates the double-stochasticity conditions."""
@@ -102,10 +102,20 @@ def algebraic_connectivity(g: WeightedGraph) -> float:
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """Whether a breadth-first search from node 0 reaches every node."""
-    reached = breadth_first_order(laplacian(g), 0, directed=False,
-                                  return_predecessors=False)
-    return len(reached) == g.n
+    """Whether a depth-first search from node 0 reaches every node."""
+    neighbors = [[] for _ in range(g.n)]
+    for i, j, _ in g.edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    reached = [False] * g.n
+    reached[0] = True
+    stack = [0]
+    while stack:
+        for j in neighbors[stack.pop()]:
+            if not reached[j]:
+                reached[j] = True
+                stack.append(j)
+    return all(reached)
 
 
 # fewest agents of each named topology: a "cycle" on two nodes would be a

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 TYPICAL_EPS_LO = 0.1
 TYPICAL_EPS_HI = math.log(3.0)
@@ -24,16 +24,74 @@ class PrivacyRangeWarning(UserWarning):
     """Parameters outside the customary ranges; still accepted."""
 
 
+# Cephes ndtri (S. L. Moshier), as shipped in scipy.special: rational
+# approximations in y - 1/2 on the central interval and in 1/z, with
+# z = sqrt(-2 ln y), on the tail; coefficients verbatim, each polynomial
+# listed from the highest power down. The Q tables start with the leading
+# 1 that Cephes leaves implicit (its p1evl); 1 * x is exact, so one Horner
+# loop gives p1evl's bits.
+_EXP_M2 = 0.13533528323661269189        # exp(-2), the central/tail split
+_S2PI = 2.50662827463100050242E0        # sqrt(2 pi)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# 2 <= z < 8, i.e. delta down to exp(-32) = 1.27e-14
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# z >= 8, down to the smallest subnormal
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner evaluation of sum coef[i] x^(n-i), as Cephes polevl."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
 def q_inverse(delta: float) -> float:
     """Inverse of the Gaussian tail Q(y) = P[Z > y] on (0, 1/2): the K
     with Q(K) = delta.
 
-    Q(y) = Phi(-y), so K = -Phi^{-1}(delta), evaluated by scipy's ndtri to
-    about one ulp over the whole domain.
+    Q(y) = Phi(-y), so K = -Phi^{-1}(delta). Evaluated by the Cephes ndtri
+    algorithm in the same operation order as scipy.special.ndtri, so
+    K = -ndtri(delta) bit for bit, to about one ulp over the whole domain.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must be in (0, 1/2), got {delta}")
-    return -float(ndtri(delta))
+    if delta > _EXP_M2:
+        y = delta - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return -(x * _S2PI)
+    z = math.sqrt(-2.0 * math.log(delta))
+    x0 = z - math.log(z) / z
+    r = 1.0 / z
+    if z < 8.0:
+        x1 = r * _polevl(r, _P1) / _polevl(r, _Q1)
+    else:
+        x1 = r * _polevl(r, _P2) / _polevl(r, _Q2)
+    return x0 - x1
 
 
 def kappa(delta: float, epsilon):
@@ -75,7 +133,7 @@ class PrivacyParams:
     b: float
 
     def __post_init__(self):
-        kappa(self.delta, self.epsilon)  # checks epsilon and delta
+        self.kappa  # checks epsilon and delta, and caches kappa
         check_radius(self.b)
         if not TYPICAL_EPS_LO <= self.epsilon <= TYPICAL_EPS_HI:
             warnings.warn(
@@ -90,7 +148,7 @@ class PrivacyParams:
                 PrivacyRangeWarning, stacklevel=2,
             )
 
-    @property
+    @cached_property
     def kappa(self) -> float:
         return kappa(self.delta, self.epsilon)
 

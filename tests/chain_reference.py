@@ -3,11 +3,14 @@
 The library takes the Kemeny constant of P^2 and the uniform stationary
 distribution from the cached Laplacian spectrum (bounds.lemma7_sandwich).
 These helpers compute them the textbook way, from the chain itself, with an
-eigensolve of their own.
+eigensolve of their own. Irreducibility of the chain, which is connectivity
+of the graph, is checked with scipy's breadth-first search in place of the
+library's own graph walk.
 """
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
 
-from dpformation import NumericalError
+from dpformation import NumericalError, laplacian
 
 EIG_UNIT_TOL = 1e-13
 
@@ -16,6 +19,14 @@ def stationary_distribution(p):
     """Stationary distribution of the chain: uniform, because P is
     doubly stochastic."""
     return np.full(p.n, 1.0 / p.n)
+
+
+def bfs_is_connected(g) -> bool:
+    """Whether scipy's breadth-first search from node 0 over the Laplacian
+    reaches every node."""
+    reached = breadth_first_order(laplacian(g), 0, directed=False,
+                                  return_predecessors=False)
+    return len(reached) == g.n
 
 
 def kemeny_constant(matrix):

@@ -14,7 +14,6 @@ window_mean_variance is the exact second moment of what estimate_ess
 averages, so the tests can check the spread of the simulated noise and not
 only its mean.
 """
-import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -85,10 +84,7 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
             results = list(pool.map(lambda c: run_chunk(*c), chunks))
 
     e_agg = np.concatenate([r[0] for r in results], axis=1)
-    first_traj = results[0][1]
-    sem = e_agg.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 \
-        else np.zeros(horizon + 1)
-    return TrialEnsemble(e_agg.mean(axis=1), sem, e_agg, first_traj)
+    return TrialEnsemble(e_agg, results[0][1])
 
 
 def window_mean_variance(p, noise, window: int) -> float:

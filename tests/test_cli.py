@@ -122,6 +122,33 @@ class TestSimulate:
         assert text == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config,edits,what", [
+        (DEMO_CONFIG, [("seed: 7", "seed: 7.9")], "seed"),
+        (DEMO_CONFIG, [("horizon: 100", "horizon: 2.5"),
+                       ("seed: 7", "seed: 7.9")], "horizon"),
+        (DEMO_CONFIG, [("trials: 50", "trials: 50.0")], "trials"),
+        (DEMO_CONFIG, [("seed: 7", "seed: true")], "seed"),
+        (DEMO_CONFIG, [("horizon: 100", "horizon: '100'")], "horizon"),
+        (DEMO_CONFIG, [("n: 5", "n: 5.0")], "graph n"),
+        (EDGE_LIST_CONFIG, [("nodes: 3", "nodes: 3.5")], "graph nodes"),
+        (EDGE_LIST_CONFIG, [("[2, 3, 0.5]", "[2, 3.9, 0.5]")],
+         "edge endpoint")],
+        ids=["seed", "horizon-and-seed", "trials", "bool-seed",
+             "string-horizon", "graph-n", "graph-nodes", "edge-endpoint"])
+    def test_non_integer_exits_2_before_output(self, tmp_path, capsys,
+                                               config, edits, what):
+        # a float, bool or string used to be truncated or parsed by int()
+        for old, new in edits:
+            config = config.replace(old, new)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(config)
+        code, text, err = run(capsys, "simulate", "--config", str(cfg),
+                              "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"{what} must be an integer, got" in err
+        assert text == ""
+        assert not (tmp_path / "o").exists()
+
     def test_missing_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("graph: {kind: star, n: 5}\n")

@@ -5,6 +5,7 @@ import pytest
 
 from dpformation import (
     FormationSpec,
+    TrialEnsemble,
     WeightedGraph,
     build_perron,
     build_standard_topology,
@@ -213,6 +214,15 @@ class TestRunTrials:
         assert np.all(ens.e_agg_trials == np.mean((x0 - x0.mean()) ** 2))
         assert np.array_equal(ens.first_trajectory, x0[None, :])
         assert np.array_equal(ens.e_agg_sem, [0.0])
+
+    def test_mean_and_sem_derived_from_trials(self):
+        # rows [1, 3] and [2, 2]: sample std sqrt(2) and 0 over 2 trials
+        ens = TrialEnsemble(np.array([[1.0, 3.0], [2.0, 2.0]]), None)
+        assert ens.e_agg_mean.tolist() == [2.0, 2.0]
+        assert ens.e_agg_sem.tolist() == [1.0, 0.0]
+        single = TrialEnsemble(np.array([[1.0], [2.0]]), None)
+        assert single.e_agg_mean.tolist() == [1.0, 2.0]
+        assert single.e_agg_sem.tolist() == [0.0, 0.0]
 
 
 class TestStreamingMatchesWholeTensor:

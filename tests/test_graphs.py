@@ -14,6 +14,7 @@ from dpformation import (
     topology_lambda2,
 )
 from chain_reference import (
+    bfs_is_connected,
     kemeny_constant,
     kemeny_spectral_bounds,
     stationary_distribution,
@@ -132,6 +133,30 @@ class TestConnectivity:
                 g = WeightedGraph(n, tuple(e for e in g.edges
                                            if 0 not in e[:2]))
             assert is_connected(g) == (algebraic_connectivity(g) > 1e-9)
+
+    def test_search_agrees_with_scipy_bfs(self):
+        # 100 random connected graphs, and 100 graphs of two random
+        # connected components, each with its nodes relabelled at random
+        # (random_connected_graph links every node to a lower-numbered one)
+        rng = np.random.default_rng(7)
+
+        def relabelled(n, parts):
+            perm = [int(k) for k in rng.permutation(n)]
+            return WeightedGraph(n, tuple(
+                (perm[offset + i], perm[offset + j], w)
+                for offset, g in parts for i, j, w in g.edges))
+
+        for _ in range(100):
+            n = int(rng.integers(1, 60))
+            g = relabelled(n, [(0, random_connected_graph(
+                n, rng, float(rng.uniform(0.0, 0.3))))])
+            assert is_connected(g)
+            assert bfs_is_connected(g)
+            n1, n2 = (int(k) for k in rng.integers(1, 30, size=2))
+            split = relabelled(n1 + n2, [(0, random_connected_graph(n1, rng)),
+                                         (n1, random_connected_graph(n2, rng))])
+            assert not is_connected(split)
+            assert not bfs_is_connected(split)
 
 
 class TestPerron:

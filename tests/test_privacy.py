@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from dpformation import (
     PrivacyParams,
@@ -10,6 +13,7 @@ from dpformation import (
     noise_scale,
     q_inverse,
 )
+from dpformation import privacy
 from dpformation.privacy import PrivacyRangeWarning
 from threshold_reference import brentq_q_inverse, q_function
 
@@ -64,6 +68,27 @@ class TestQInverse:
     def test_matches_brentq_cross_check(self, delta):
         ref = brentq_q_inverse(delta)
         assert abs(q_inverse(delta) - ref) <= 1e-13 * ref
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    @given(st.one_of(
+        st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        st.floats(-300.0, math.log10(0.5)).map(lambda e: 10.0 ** e)
+        .filter(lambda d: d < 0.5)))
+    def test_bit_identical_to_scipy_ndtri(self, delta):
+        assert q_inverse(delta) == -ndtri(delta)
+
+    @pytest.mark.parametrize("delta", [
+        # either side of exp(-2), the central/tail split
+        math.nextafter(math.exp(-2.0), 0.0), math.exp(-2.0),
+        math.nextafter(math.exp(-2.0), 1.0),
+        # either side of exp(-32), where z = sqrt(-2 ln delta) passes 8
+        math.nextafter(math.exp(-32.0), 0.0), math.exp(-32.0),
+        math.nextafter(math.exp(-32.0), 1.0),
+        5e-324, 2.2250738585072014e-308, 1e-300, 0.00135,
+        math.nextafter(0.5, 0.0)])
+    def test_bit_identical_to_scipy_ndtri_at_switches(self, delta):
+        assert q_inverse(delta) == -ndtri(delta)
 
 
 class TestKappa:
@@ -122,6 +147,19 @@ class TestNoiseScale:
         p = PrivacyParams(0.3, 0.01, 1.5)
         assert p.kappa > 0
         assert noise_scale(p) > 0
+
+    def test_kappa_solved_once_per_params(self, monkeypatch):
+        calls = []
+
+        def counted(delta, epsilon):
+            calls.append((delta, epsilon))
+            return kappa(delta, epsilon)
+
+        monkeypatch.setattr(privacy, "kappa", counted)
+        p = PrivacyParams(0.3, 0.01, 1.5)
+        sigmas = [noise_scale(p) for _ in range(100)]
+        assert calls == [(0.01, 0.3)]
+        assert sigmas == [1.5 * kappa(0.01, 0.3)] * 100
 
 
 class TestPrivacyParamsValidation:

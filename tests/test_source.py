@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import dpformation
 
@@ -14,3 +17,16 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: its special and sparse.csgraph
+    # submodules took most of each command's start-up while the library
+    # imported them
+    code = ("import sys, dpformation.cli; print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
