@@ -12,7 +12,6 @@ from .graphs import (
     build_standard_topology,
     is_connected,
     laplacian,
-    random_connected_graph,
     topology_lambda2,
 )
 from .privacy import (
@@ -23,11 +22,10 @@ from .privacy import (
 )
 from .dynamics import (
     EssEstimate,
-    FormationSpec,
     TrialEnsemble,
     burn_in_and_window,
     estimate_ess,
-    noise_covariance_diag,
+    noise_covariance,
     noise_gain,
     run_trials,
     trial_rngs,
@@ -43,6 +41,7 @@ from .bounds import (
     lemma7_sandwich,
     reproduce_table1,
     theorem1_bound,
+    threshold_cell,
 )
 from .config import ConfigError, RunConfig, demo_config
 from .config import load as load_config

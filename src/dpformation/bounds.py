@@ -26,18 +26,17 @@ from . import dynamics, graphs, privacy
 from .graphs import PerronMatrix
 
 
-def exact_ess_oracle(p: PerronMatrix, noise) -> float:
+def exact_ess_oracle(p: PerronMatrix, cov) -> float:
     """Exact steady-state error of xbar(k+1) = P xbar(k) + z(k).
 
-    noise is Cov[z]: a full N x N matrix C, or its diagonal (a length-N
-    vector or a scalar) for independent perturbations. With L = U diag(lambda)
-    U^T, deviation mode i >= 2 settles at variance (U^T C U)_ii / a_i with
-    a_i = 1 - mu_i^2 (Xiao, Boyd & Kim 2007), so
+    cov is the N x N matrix C = Cov[z] (dynamics.noise_covariance). With
+    L = U diag(lambda) U^T, deviation mode i >= 2 settles at variance
+    (U^T C U)_ii / a_i with a_i = 1 - mu_i^2 (Xiao, Boyd & Kim 2007), so
     e_ss = (1/N) * sum_{i>=2} (U^T C U)_ii / a_i.
     """
-    c = np.asarray(noise, dtype=float)
-    if c.ndim < 2:
-        c = np.diag(np.broadcast_to(c, (p.n,)))
+    c = np.asarray(cov, dtype=float)
+    if c.shape != (p.n, p.n):
+        raise ValueError(f"Cov[z] must be {p.n} x {p.n}, got shape {c.shape}")
     u = p.graph.spectrum[1][:, 1:]
     modal = np.sum(u * (c @ u), axis=0)
     return float(np.sum(modal / p.mode_gaps) / p.n)
@@ -88,10 +87,10 @@ def theorem1_bound(p: PerronMatrix, params) -> float:
     """Heterogeneous upper bound on e_ss.
 
     gamma * (N-1)^2 * max_i kappa_i^2 b_i^2 / (N lambda2 (2 - gamma lambda2)).
-    params is one PrivacyParams (homogeneous) or a sequence of N of them.
+    params is a sequence of N PrivacyParams, one per agent.
     """
-    if isinstance(params, privacy.PrivacyParams):
-        params = [params]
+    if len(params) != p.n:
+        raise ValueError(f"{len(params)} privacy entries for {p.n} agents")
     worst = max(q.b * q.b * (q.kappa * q.kappa) for q in params)
     lam2 = graphs.algebraic_connectivity(p.graph)
     return float(_prefactor(p.n, p.gamma, lam2) * worst)
@@ -168,6 +167,7 @@ TABLE1_PARAMS = dict(delta=0.01, b=5.0, w=1.0, gamma=1e-4, e_r=100.0)
 class ThresholdCell:
     kind: str
     n: int
+    lambda2: float
     numeric: float
     closed_form: float
 
@@ -176,23 +176,25 @@ class ThresholdCell:
         return abs(self.closed_form - self.numeric) / self.numeric
 
 
+def threshold_cell(kind: str, n: int, *, delta: float, b: float, w: float,
+                   gamma: float, e_r: float) -> ThresholdCell:
+    """Minimum epsilon for the named uniform-weight topology on n agents,
+    with its closed-form lambda2 and the published closed form alongside."""
+    lam2 = graphs.topology_lambda2(kind, n, w)
+    numeric = epsilon_threshold_numeric(lam2, gamma=gamma, delta=delta, b=b,
+                                        n_agents=n, e_r=e_r)
+    closed = epsilon_threshold_closed_form(kind, n, gamma=gamma, delta=delta,
+                                           b=b, w=w, e_r=e_r)
+    return ThresholdCell(kind, n, lam2, numeric, closed)
+
+
 def reproduce_table1(**overrides) -> list:
     """Minimum-epsilon thresholds for the four standard topologies at
     N in {10, 100, 1000, 10000}, with the published closed forms alongside.
     """
     prm = {**TABLE1_PARAMS, **overrides}
-    cells = []
-    for kind in TABLE1_KINDS:
-        for n in TABLE1_SIZES:
-            lam2 = graphs.topology_lambda2(kind, n, prm["w"])
-            numeric = epsilon_threshold_numeric(
-                lam2, gamma=prm["gamma"], delta=prm["delta"], b=prm["b"],
-                n_agents=n, e_r=prm["e_r"])
-            closed = epsilon_threshold_closed_form(
-                kind, n, gamma=prm["gamma"], delta=prm["delta"], b=prm["b"],
-                w=prm["w"], e_r=prm["e_r"])
-            cells.append(ThresholdCell(kind, n, numeric, closed))
-    return cells
+    return [threshold_cell(kind, n, **prm)
+            for kind in TABLE1_KINDS for n in TABLE1_SIZES]
 
 
 @dataclass(frozen=True)
@@ -208,19 +210,17 @@ class BoundReport:
 
 def bound_report(p: PerronMatrix, params) -> BoundReport:
     """Exact oracle value plus all bounds for a transition matrix and
-    privacy setup.
+    privacy setup, under the "network" noise model the sandwich describes.
 
-    params is one PrivacyParams or a sequence of N of them; when all N are
+    params is a sequence of N PrivacyParams, one per agent; when all N are
     equal the simplified homogeneous bound is reported too.
     """
-    plist = ([params] * p.n if isinstance(params, privacy.PrivacyParams)
-             else list(params))
-    sigmas = np.array([privacy.noise_scale(q) for q in plist])
-    z_diag = dynamics.noise_covariance_diag(p, sigmas)
-    lo, hi = lemma7_sandwich(p, z_diag)
-    q = plist[0]
+    upper = theorem1_bound(p, params)  # checks there are N params
+    sigmas = np.array([privacy.noise_scale(q) for q in params])
+    cov = dynamics.noise_covariance(p, sigmas, "network")
+    lo, hi = lemma7_sandwich(p, np.diag(cov))
+    q = params[0]
     c1 = (corollary1_bound(q.epsilon, graphs.algebraic_connectivity(p.graph),
                            n_agents=p.n, gamma=p.gamma, b=q.b, delta=q.delta)
-          if all(r == q for r in plist) else None)
-    return BoundReport(lo, hi, theorem1_bound(p, plist), c1,
-                       exact_ess_oracle(p, z_diag))
+          if all(r == q for r in params) else None)
+    return BoundReport(lo, hi, upper, c1, exact_ess_oracle(p, cov))

@@ -72,8 +72,8 @@ def _per_dimension_runs(cfg: config.RunConfig, p, sigmas, jobs):
     dimension l of the full run exactly.
     """
     runs = []
-    for l in range(cfg.formation.dimensions):
-        q = cfg.formation.component(l)
+    for l in range(cfg.anchors.shape[1]):
+        q = cfg.anchors[:, l]
         ens = dynamics.run_trials(p, sigmas, cfg.horizon, cfg.trials,
                                   (cfg.master_seed, l), xbar0=-q, jobs=jobs)
         runs.append((q, ens))
@@ -97,13 +97,11 @@ def cmd_simulate(args) -> int:
     jobs = args.jobs or os.cpu_count() or 1
 
     bound = bounds.theorem1_bound(p, cfg.privacy_params)
-    # the simulated protocol noise z = G v has Cov[z] = G diag(sigma^2) G
-    gain = dynamics.noise_gain(p)
-    exact = bounds.exact_ess_oracle(p, gain @ np.diag(sigmas**2) @ gain)
+    exact = bounds.exact_ess_oracle(
+        p, dynamics.noise_covariance(p, sigmas, "protocol"))
+    runs = _per_dimension_runs(cfg, p, sigmas, jobs)
     print(f"per-dimension e_ss upper bound: {_fmt(bound)}")
     print(f"exact per-dimension e_ss:       {_fmt(exact)}")
-
-    runs = _per_dimension_runs(cfg, p, sigmas, jobs)
     os.makedirs(args.out, exist_ok=True)
 
     h, n, d = cfg.horizon + 1, cfg.graph.n, len(runs)
@@ -141,39 +139,31 @@ def cmd_design(args) -> int:
         cells = bounds.reproduce_table1(**prm)
         print(f"{'graph':>10} {'N':>7} {'numeric':>14} {'closed form':>14} "
               f"{'deviation':>10}")
-        discrepancies = []
         for c in cells:
             print(f"{c.kind:>10} {c.n:>7} {_fmt(c.numeric):>14} "
                   f"{_fmt(c.closed_form):>14} "
                   f"{c.relative_deviation:>10.2%}")
-            if c.relative_deviation > 0.02:
-                discrepancies.append(c)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            _write_csv(os.path.join(args.out, "thresholds.csv"),
-                       ["graph", "n", "epsilon_numeric",
-                        "epsilon_closed_form"],
-                       [[c.kind for c in cells], [c.n for c in cells],
-                        [c.numeric for c in cells],
-                        [c.closed_form for c in cells]])
-            print(f"wrote {args.out}/thresholds.csv")
-        if discrepancies:
-            print(f"discrepancy report: {len(discrepancies)} closed-form "
-                  "entries deviate from the numeric threshold by > 2%")
-        return 0
-
-    lam2 = graphs.topology_lambda2(args.kind, args.n, args.w)
-    numeric = bounds.epsilon_threshold_numeric(
-        lam2, gamma=args.gamma, delta=args.delta, b=args.b,
-        n_agents=args.n, e_r=args.e_r)
-    closed = bounds.epsilon_threshold_closed_form(
-        args.kind, args.n, gamma=args.gamma, delta=args.delta, b=args.b,
-        w=args.w, e_r=args.e_r)
-    dev = abs(closed - numeric) / numeric
-    print(f"{args.kind} graph, N={args.n}, lambda2={_fmt(lam2)}")
-    print(f"minimum epsilon (numeric, authoritative): {_fmt(numeric)}")
-    print(f"published closed form:                    {_fmt(closed)}")
-    print(f"relative deviation:                       {dev:.2%}")
+    else:
+        c = bounds.threshold_cell(args.kind, args.n, **prm)
+        cells = [c]
+        print(f"{c.kind} graph, N={c.n}, lambda2={_fmt(c.lambda2)}")
+        print(f"minimum epsilon (numeric, authoritative): {_fmt(c.numeric)}")
+        print(f"published closed form:                    "
+              f"{_fmt(c.closed_form)}")
+        print(f"relative deviation:                       "
+              f"{c.relative_deviation:.2%}")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        _write_csv(os.path.join(args.out, "thresholds.csv"),
+                   ["graph", "n", "epsilon_numeric", "epsilon_closed_form"],
+                   [[c.kind for c in cells], [c.n for c in cells],
+                    [c.numeric for c in cells],
+                    [c.closed_form for c in cells]])
+        print(f"wrote {args.out}/thresholds.csv")
+    deviating = sum(c.relative_deviation > 0.02 for c in cells)
+    if args.table1 and deviating:
+        print(f"discrepancy report: {deviating} closed-form "
+              "entries deviate from the numeric threshold by > 2%")
     return 0
 
 
@@ -219,7 +209,7 @@ def cmd_sensitivity(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = config.load(args.config) if args.config else config.demo_config()
     rep = bounds.bound_report(graphs.build_perron(cfg.graph, cfg.gamma),
-                              list(cfg.privacy_params))
+                              cfg.privacy_params)
     print(f"exact e_ss (oracle):      {_fmt(rep.exact_ess)}")
     print(f"sandwich lower bound:     {_fmt(rep.lemma7_lower)}")
     print(f"sandwich upper bound:     {_fmt(rep.lemma7_upper)}")

@@ -21,7 +21,6 @@ import numpy as np
 import yaml
 
 from . import graphs, privacy
-from .dynamics import FormationSpec
 from .graphs import WeightedGraph
 
 
@@ -37,16 +36,18 @@ class RunConfig:
     trials: int
     master_seed: int
     privacy_params: tuple       # one PrivacyParams per agent
-    formation: FormationSpec
+    anchors: np.ndarray         # (N, n) formation: row i is agent i's anchor
 
     def __post_init__(self):
         if len(self.privacy_params) != self.graph.n:
             raise ConfigError(
                 f"{len(self.privacy_params)} privacy entries for "
                 f"{self.graph.n} agents")
-        if self.formation.agent_count != self.graph.n:
+        anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
+        object.__setattr__(self, "anchors", anchors)
+        if anchors.shape[0] != self.graph.n:
             raise ConfigError(
-                f"formation has {self.formation.agent_count} anchor rows "
+                f"formation has {anchors.shape[0]} anchor rows "
                 f"for {self.graph.n} agents")
         if self.horizon < 1 or self.trials < 1:
             raise ConfigError("horizon and trials must be >= 1")
@@ -122,8 +123,7 @@ def from_mapping(data: dict) -> RunConfig:
             trials=_integer(data.get("trials", 1000), "trials"),
             master_seed=_integer(data.get("seed", 0), "seed"),
             privacy_params=parse_privacy(data["privacy"], g.n),
-            formation=FormationSpec(np.asarray(data["formation"]["anchors"],
-                                               dtype=float)),
+            anchors=data["formation"]["anchors"],
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None
@@ -151,5 +151,5 @@ def demo_config(trials: int = 1000, horizon: int = 100,
         master_seed=seed,
         privacy_params=(privacy.PrivacyParams(math.log(3.0), 0.00135, 2.0),)
         * 5,
-        formation=FormationSpec(anchors),
+        anchors=anchors,
     )

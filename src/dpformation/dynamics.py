@@ -20,44 +20,33 @@ from numpy.random.bit_generator import ISeedSequence
 from .graphs import PerronMatrix
 
 
-@dataclass(frozen=True)
-class FormationSpec:
-    """Anchor points of a translationally invariant formation.
-
-    anchors is an (N, n) matrix; row i is agent i's position in one
-    representative of the formation. Offsets between agents are differences
-    of anchor rows, so antisymmetry holds by construction.
-    """
-
-    anchors: np.ndarray
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.anchors, dtype=float))
-        object.__setattr__(self, "anchors", a)
-
-    @property
-    def agent_count(self) -> int:
-        return self.anchors.shape[0]
-
-    @property
-    def dimensions(self) -> int:
-        return self.anchors.shape[1]
-
-    def component(self, l: int) -> np.ndarray:
-        """Anchor vector q for dimension l (one entry per agent)."""
-        return self.anchors[:, l].copy()
-
-
 def noise_gain(p: PerronMatrix) -> np.ndarray:
     """gamma * A(G), the matrix mapping per-agent noise draws to the state
     perturbation z. Equals P with its diagonal removed."""
     return p.matrix - np.diag(np.diag(p.matrix))
 
 
-def noise_covariance_diag(p: PerronMatrix, sigmas) -> np.ndarray:
-    """Diagonal of Cov[z]: s_i^2 = gamma^2 * sum_j w_ij^2 sigma_j^2."""
+def noise_covariance(p: PerronMatrix, sigmas, noise_model: str) -> np.ndarray:
+    """N x N covariance of the state perturbation z that run_trials draws
+    when agent j's privacy noise has scale sigma_j. With G = noise_gain(p):
+
+    * "protocol": the node-level law exactly. Each agent j draws one noise
+      value v_j(k) and every neighbor of j mixes it in, so z = G v and
+      Cov[z] = G diag(sigma^2) G; the z_i of agents sharing a neighbor are
+      correlated.
+    * "network": the analytical model, z_i drawn independently with
+      variance s_i^2 = gamma^2 * sum_j w_ij^2 sigma_j^2, so Cov[z] is
+      diagonal. This is the process the Kemeny sandwich describes; the
+      marginal variances match the protocol but cross-correlations are
+      dropped.
+    """
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (p.n,))
-    return noise_gain(p) ** 2 @ sigmas**2
+    gain = noise_gain(p)
+    if noise_model == "protocol":
+        return gain @ np.diag(sigmas**2) @ gain
+    if noise_model == "network":
+        return np.diag(gain**2 @ sigmas**2)
+    raise ValueError(f"unknown noise_model {noise_model!r}")
 
 
 # numpy's SeedSequence hash constants and pool size
@@ -208,24 +197,18 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     draw per trial, while memory stays O(horizon * trials) for the error
     series plus O(BLOCK_DRAWS * trials) per worker.
 
-    noise_model selects how the state perturbation z is produced:
-
-    * "protocol": the node-level law exactly. Each agent j draws one noise
-      value v_j(k) and every neighbor of j mixes it in, so z = gamma*A v
-      and the z_i of agents sharing a neighbor are correlated.
-    * "network": the analytical model, z_i drawn independently with
-      variance s_i^2 = gamma^2 * sum_j w_ij^2 sigma_j^2. This is the
-      process the Kemeny sandwich describes; the marginal variances match
-      the protocol but cross-correlations are dropped.
+    noise_model, "protocol" or "network", selects the law of the state
+    perturbation z; noise_covariance gives each law's Cov[z]. jobs >= 1
+    caps the number of equal chunks of trials, one thread each.
 
     The squared-error series, its mean and its standard error cover steps
     first_step ... horizon only; earlier steps are simulated but not
     reduced. first_trajectory always covers every step.
     """
-    if noise_model not in ("protocol", "network"):
-        raise ValueError(f"unknown noise_model {noise_model!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if not 0 <= first_step <= horizon:
@@ -235,7 +218,7 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
     gain = noise_gain(p)
-    z_scale = np.sqrt(noise_covariance_diag(p, sigmas))
+    z_scale = np.sqrt(np.diag(noise_covariance(p, sigmas, noise_model)))
 
     block = max(1, min(-(-BLOCK_DRAWS // n), horizon))
 
@@ -295,12 +278,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
             x[0] = x[b]
         return e_agg, traj
 
-    if jobs <= 1 or trials == 1:
-        chunks = [(0, trials)]
-    else:
-        step = -(-trials // jobs)
-        chunks = [(lo, min(lo + step, trials))
-                  for lo in range(0, trials, step)]
+    step = -(-trials // jobs)
+    chunks = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
     if len(chunks) == 1:
         results = [run_chunk(*chunks[0])]
     else:
@@ -345,13 +324,12 @@ class EssEstimate:
 
 
 def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
-                 master_seed=0, jobs: int = 1,
-                 noise_model: str = "network") -> EssEstimate:
+                 master_seed=0, jobs: int = 1) -> EssEstimate:
     """Monte Carlo estimate of the steady-state error.
 
-    Defaults to the "network" noise model (independent z with the
-    analytical variances), the process whose steady state the Kemeny
-    sandwich and the exact oracle on the diagonal covariance characterize.
+    Runs the "network" noise model (independent z with the analytical
+    variances), the process whose steady state the Kemeny sandwich and the
+    exact oracle on its diagonal covariance characterize.
 
     Each trial runs k_b + W steps from a zero start (burn_in_and_window)
     and averages its squared-error series over steps k_b+1 ... k_b+W; the
@@ -362,7 +340,7 @@ def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
     burn_in, window = burn_in_and_window(p)
     horizon = burn_in + window
     ens = run_trials(p, sigmas, horizon, trials, master_seed, jobs=jobs,
-                     noise_model=noise_model, first_step=burn_in + 1)
+                     noise_model="network", first_step=burn_in + 1)
     trial_means = ens.e_agg_trials.mean(axis=0)
     value = float(trial_means.mean())
     if trials > 1:

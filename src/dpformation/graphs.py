@@ -84,9 +84,6 @@ class WeightedGraph:
         """Weighted degree of each node."""
         return np.diag(self._laplacian).copy()
 
-    def max_degree(self) -> float:
-        return float(self.degrees().max())
-
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Weighted Laplacian: degree matrix minus adjacency matrix (the
@@ -160,23 +157,6 @@ def topology_lambda2(kind: str, n: int, w: float = 1.0) -> float:
     if kind == "line":
         return 2.0 * w * (1.0 - np.cos(np.pi / n))
     return w
-
-
-def random_connected_graph(n: int, rng: np.random.Generator,
-                           extra_edge_prob: float = 0.2) -> WeightedGraph:
-    """Random connected graph: a random tree plus independent extra edges.
-
-    Weights are uniform in (0.1, 1.0]. Connected by construction.
-    """
-    edges = {}
-    for k in range(1, n):
-        parent = int(rng.integers(0, k))
-        edges[(parent, k)] = 0.1 + 0.9 * float(rng.random())
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in edges and rng.random() < extra_edge_prob:
-                edges[(i, j)] = 0.1 + 0.9 * float(rng.random())
-    return WeightedGraph(n, tuple((i, j, w) for (i, j), w in edges.items()))
 
 
 @dataclass(frozen=True)

@@ -102,8 +102,8 @@ def kappa(delta: float, epsilon):
     eps = (1 + 2*kappa*K) / (2*kappa^2).
     """
     eps = np.asarray(epsilon, dtype=float)
-    if not np.all(eps > 0):
-        raise ValueError("epsilon must be positive")
+    if not np.all((eps > 0) & np.isfinite(eps)):
+        raise ValueError("epsilon must be positive and finite")
     k = q_inverse(delta)
     out = (k + np.sqrt(k * k + 2.0 * eps)) / (2.0 * eps)
     return out if out.ndim else float(out)

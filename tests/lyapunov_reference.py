@@ -13,12 +13,10 @@ import numpy as np
 from dpformation import NumericalError
 
 
-def iterative_ess_oracle(p, noise) -> float:
-    """noise is Cov[z]: an N x N matrix, or its diagonal."""
+def iterative_ess_oracle(p, cov) -> float:
+    """cov is the N x N matrix Cov[z]."""
     n = p.n
-    z = np.asarray(noise, dtype=float)
-    if z.ndim < 2:
-        z = np.diag(np.broadcast_to(z, (n,)))
+    z = np.asarray(cov, dtype=float)
     q = np.eye(n) - np.full((n, n), 1.0 / n)
     qpq = q @ p.matrix @ q
     qzq = q @ z @ q

@@ -18,11 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from dpformation.dynamics import (
-    TrialEnsemble,
-    noise_covariance_diag,
-    noise_gain,
-)
+from dpformation.dynamics import TrialEnsemble, noise_gain
 
 
 def trial_rng(master_seed, trial: int) -> np.random.Generator:
@@ -44,7 +40,8 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
     gain = noise_gain(p)
-    z_scale = np.sqrt(noise_covariance_diag(p, sigmas))
+    # the network law: independent z_i of variance sum_j G_ij^2 sigma_j^2
+    z_scale = np.sqrt(gain**2 @ sigmas**2)
 
     def run_chunk(t_lo, t_hi):
         count = t_hi - t_lo
@@ -87,10 +84,10 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
     return TrialEnsemble(e_agg, results[0][1])
 
 
-def window_mean_variance(p, noise, window: int) -> float:
+def window_mean_variance(p, cov, window: int) -> float:
     """Variance of one stationary trial's squared error averaged over
-    `window` consecutive steps, for Gaussian noise with Cov[z] = noise (the
-    full matrix, or its diagonal).
+    `window` consecutive steps, for Gaussian noise with the N x N
+    Cov[z] = cov.
 
     In the eigenbasis of P, deviation modes i, j >= 2 have stationary
     covariance S_ij = (U^T C U)_ij / (1 - mu_i mu_j) and lag-tau covariance
@@ -98,9 +95,7 @@ def window_mean_variance(p, noise, window: int) -> float:
     (2/N^2) sum_ij S_ij^2 mu_j^(2 tau), and the window mean has variance
     (2/(N^2 W^2)) sum_ij S_ij^2 [W + 2 sum_{tau<W} (W - tau) mu_j^(2 tau)].
     """
-    c = np.asarray(noise, dtype=float)
-    if c.ndim < 2:
-        c = np.diag(np.broadcast_to(c, (p.n,)))
+    c = np.asarray(cov, dtype=float)
     mu, u = np.linalg.eigh(p.matrix)
     mu, u = mu[:-1], u[:, :-1]  # drop the consensus mode, mu = 1
     s = (u.T @ c @ u) / (1.0 - np.outer(mu, mu))

@@ -53,9 +53,9 @@ def beta(x, q):
     return np.mean(x) + q - np.mean(q)
 
 
-def offset(spec, i, j):
-    """Desired relative state p_j - p_i of a FormationSpec."""
-    return spec.anchors[j] - spec.anchors[i]
+def offset(anchors, i, j):
+    """Desired relative state p_j - p_i of an (N, n) anchor matrix."""
+    return anchors[j] - anchors[i]
 
 
 def error_series(xbar_traj):

@@ -21,11 +21,10 @@ from dpformation import (
     estimate_ess,
     exact_ess_oracle,
     lemma7_sandwich,
-    noise_covariance_diag,
+    noise_covariance,
     partial_epsilon,
     partial_lambda2,
     q_inverse,
-    random_connected_graph,
     reproduce_table1,
     run_trials,
     theorem1_bound,
@@ -33,6 +32,7 @@ from dpformation import (
     SensitivityPoint,
 )
 from chain_reference import kemeny_constant
+from graph_reference import max_degree, random_connected_graph
 from mc_reference import trial_rng
 from step_reference import (
     error_series,
@@ -75,7 +75,7 @@ def seeded_graphs(count=100, n_lo=3, n_hi=12):
     for seed in range(count):
         rng = np.random.default_rng(1000 + seed)
         g = random_connected_graph(int(rng.integers(n_lo, n_hi + 1)), rng)
-        out.append((g, build_perron(g, 0.5 / g.max_degree()), rng))
+        out.append((g, build_perron(g, 0.5 / max_degree(g)), rng))
     return out
 
 
@@ -163,12 +163,14 @@ def test_sandwich_and_ordering():
     violations = 0
     for g, p, rng in seeded_graphs():
         hetero = rng.uniform(0.1, 2.0, g.n)
-        z = noise_covariance_diag(p, hetero)
-        lo, hi = lemma7_sandwich(p, z)
-        if not lo * (1 - 1e-12) <= exact_ess_oracle(p, z) <= hi * (1 + 1e-12):
+        cov = noise_covariance(p, hetero, "network")
+        lo, hi = lemma7_sandwich(p, np.diag(cov))
+        if not (lo * (1 - 1e-12) <= exact_ess_oracle(p, cov)
+                <= hi * (1 + 1e-12)):
             violations += 1
-        _, hi_hom = lemma7_sandwich(p, noise_covariance_diag(p, sigma))
-        if hi_hom > theorem1_bound(p, params) * (1 + 1e-12):
+        _, hi_hom = lemma7_sandwich(
+            p, np.diag(noise_covariance(p, sigma, "network")))
+        if hi_hom > theorem1_bound(p, [params] * g.n) * (1 + 1e-12):
             violations += 1
     assert violations == 0
     return "0 violations"
@@ -182,9 +184,9 @@ def test_estimator_cross_validation():
     for seed in range(40):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(int(rng.integers(3, 9)), rng)
-        p = build_perron(g, 0.5 / g.max_degree())
+        p = build_perron(g, 0.5 / max_degree(g))
         sigmas = rng.uniform(0.5, 1.5, g.n)
-        oracle = exact_ess_oracle(p, noise_covariance_diag(p, sigmas))
+        oracle = exact_ess_oracle(p, noise_covariance(p, sigmas, "network"))
         est = estimate_ess(p, sigmas, trials=2000, master_seed=seed, jobs=1)
         dev = abs(est.value - oracle) / oracle
         worst = max(worst, dev)
@@ -199,10 +201,10 @@ def test_estimator_cross_validation():
 def test_demo_replication():
     cfg = demo_config(trials=1000, horizon=100, seed=1)
     p = build_perron(cfg.graph, cfg.gamma)
-    bound = theorem1_bound(p, list(cfg.privacy_params))
+    bound = theorem1_bound(p, cfg.privacy_params)
 
-    for l in range(cfg.formation.dimensions):
-        q = cfg.formation.component(l)
+    for l in range(cfg.anchors.shape[1]):
+        q = cfg.anchors[:, l]
         ens = run_trials(p, cfg.sigmas, cfg.horizon, cfg.trials,
                          (cfg.master_seed, l), xbar0=-q, jobs=4)
         tail = ens.e_agg_mean[-25:]
@@ -216,8 +218,8 @@ def test_demo_replication():
                           f"{worst:.3f} exceeds bound {bound:.3f}")
 
     residual = 0.0
-    for l in range(cfg.formation.dimensions):
-        xbar = -cfg.formation.component(l)
+    for l in range(cfg.anchors.shape[1]):
+        xbar = -cfg.anchors[:, l]
         for _ in range(cfg.horizon):
             xbar = noiseless_step(xbar, p)
         residual = max(residual, float(np.abs(xbar - xbar.mean()).max()))

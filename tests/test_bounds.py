@@ -17,15 +17,15 @@ from dpformation import (
     estimate_ess,
     exact_ess_oracle,
     lemma7_sandwich,
-    noise_covariance_diag,
-    noise_gain,
+    noise_covariance,
     noise_scale,
-    random_connected_graph,
     reproduce_table1,
     run_trials,
     theorem1_bound,
+    threshold_cell,
     topology_lambda2,
 )
+from graph_reference import max_degree, random_connected_graph
 from threshold_reference import brentq_epsilon_threshold
 
 TABLE1_REFERENCE = {
@@ -40,15 +40,21 @@ TABLE1_REFERENCE = {
 }
 
 
-def hetero_noise_diag(p, rng):
+def hetero_network_cov(p, rng):
     sigmas = rng.uniform(0.1, 2.0, size=p.n)
-    return noise_covariance_diag(p, sigmas)
+    return noise_covariance(p, sigmas, "network")
 
 
 class TestExactOracle:
     def test_zero_noise(self):
         p = build_perron(build_standard_topology("star", 5, 1.0), 0.2)
-        assert exact_ess_oracle(p, np.zeros(5)) == 0.0
+        assert exact_ess_oracle(p, np.zeros((5, 5))) == 0.0
+
+    @pytest.mark.parametrize("cov", [1.0, np.ones(5), np.eye(4)])
+    def test_rejects_all_but_the_full_matrix(self, cov):
+        p = build_perron(build_standard_topology("star", 5, 1.0), 0.2)
+        with pytest.raises(ValueError, match="must be 5 x 5"):
+            exact_ess_oracle(p, cov)
 
     def test_two_state_hand_value(self):
         # P = [[.75,.25],[.25,.75]], Z = s^2 I: the deviation mode has
@@ -56,7 +62,7 @@ class TestExactOracle:
         # e_ss = s^2 / (2 * 0.75) * ... = (2/3) s^2
         p = build_perron(WeightedGraph(2, ((0, 1, 1.0),)), 0.25)
         s2 = 1.3
-        value = exact_ess_oracle(p, np.full(2, s2))
+        value = exact_ess_oracle(p, s2 * np.eye(2))
         assert value == pytest.approx(2.0 / 3.0 * s2, rel=1e-10)
         lo, hi = lemma7_sandwich(p, np.full(2, s2))
         assert lo * (1 - 1e-10) <= value <= hi * (1 + 1e-10)
@@ -64,28 +70,19 @@ class TestExactOracle:
     def test_matches_monte_carlo(self):
         g = build_standard_topology("cycle", 6, 1.0)
         p = build_perron(g, 0.2)
-        z = noise_covariance_diag(p, 1.5)
-        exact = exact_ess_oracle(p, z)
+        exact = exact_ess_oracle(p, noise_covariance(p, 1.5, "network"))
         est = estimate_ess(p, 1.5, trials=2000, master_seed=31)
         assert est.value == pytest.approx(exact, rel=0.05)
         # the 95% interval of the per-trial tail means covers the oracle
         assert abs(est.value - exact) <= est.half_width
-
-    def test_full_covariance_form_of_diagonal_noise(self):
-        g = random_connected_graph(9, np.random.default_rng(4))
-        p = build_perron(g, 0.4 / g.max_degree())
-        z = hetero_noise_diag(p, np.random.default_rng(5))
-        assert exact_ess_oracle(p, np.diag(z)) == pytest.approx(
-            exact_ess_oracle(p, z), rel=1e-13)
 
     def test_protocol_model_matches_monte_carlo(self):
         # demo star: the protocol noise z = gamma*A v has Cov[z] = G S G,
         # correlated across agents sharing a neighbor
         p = build_perron(build_standard_topology("star", 5, 1.0), 0.2)
         sigma = noise_scale(PrivacyParams(math.log(3), 0.00135, 2.0))
-        gain = noise_gain(p)
-        exact = exact_ess_oracle(p, sigma**2 * gain @ gain)
-        network = exact_ess_oracle(p, noise_covariance_diag(p, sigma))
+        exact = exact_ess_oracle(p, noise_covariance(p, sigma, "protocol"))
+        network = exact_ess_oracle(p, noise_covariance(p, sigma, "network"))
         burn_in, window = burn_in_and_window(p)
         ens = run_trials(p, sigma, burn_in + window, 2000, 11,
                          noise_model="protocol")
@@ -98,17 +95,18 @@ class TestLemma7Sandwich:
     def test_vertex_transitive_homogeneous_collapses(self):
         # cycle with uniform weights and homogeneous sigma: all s_i^2 equal
         p = build_perron(build_standard_topology("cycle", 7, 1.0), 0.3)
-        lo, hi = lemma7_sandwich(p, noise_covariance_diag(p, 2.0))
+        lo, hi = lemma7_sandwich(p, np.diag(noise_covariance(p, 2.0,
+                                                             "network")))
         assert lo == pytest.approx(hi, rel=1e-12)
 
     def test_contains_oracle_heterogeneous(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             g = random_connected_graph(int(rng.integers(3, 13)), rng)
-            p = build_perron(g, 0.5 / g.max_degree())
-            z = hetero_noise_diag(p, rng)
-            lo, hi = lemma7_sandwich(p, z)
-            value = exact_ess_oracle(p, z)
+            p = build_perron(g, 0.5 / max_degree(g))
+            cov = hetero_network_cov(p, rng)
+            lo, hi = lemma7_sandwich(p, np.diag(cov))
+            value = exact_ess_oracle(p, cov)
             assert lo * (1 - 1e-10) <= value <= hi * (1 + 1e-10)
 
 
@@ -118,13 +116,14 @@ class TestTheorem1Bound:
         # reference from 50-digit evaluation of the closed form
         g = build_standard_topology("star", 5, 1.0)
         params = PrivacyParams(math.log(3), 0.00135, 2.0)
-        assert theorem1_bound(build_perron(g, 0.2), params) == pytest.approx(
+        assert theorem1_bound(build_perron(g, 0.2),
+                              [params] * 5) == pytest.approx(
             11.864339910243050, rel=1e-12)
 
     def test_decreasing_in_epsilon(self):
         g = build_standard_topology("complete", 6, 0.2)
         p = build_perron(g, 0.2)
-        values = [theorem1_bound(p, PrivacyParams(e, 0.01, 1.0))
+        values = [theorem1_bound(p, [PrivacyParams(e, 0.01, 1.0)] * 6)
                   for e in np.linspace(0.1, 1.0, 10)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -135,25 +134,33 @@ class TestTheorem1Bound:
         sigma = noise_scale(params)
         for _ in range(25):
             g = random_connected_graph(int(rng.integers(3, 13)), rng)
-            gamma = 0.5 / g.max_degree()
+            gamma = 0.5 / max_degree(g)
             p = build_perron(g, gamma)
-            _, hi = lemma7_sandwich(p, noise_covariance_diag(p, sigma))
-            assert hi <= theorem1_bound(p, params) * (1 + 1e-12)
+            _, hi = lemma7_sandwich(
+                p, np.diag(noise_covariance(p, sigma, "network")))
+            assert hi <= theorem1_bound(p, [params] * g.n) * (1 + 1e-12)
 
     def test_invalid_gamma_reported(self):
         g = build_standard_topology("star", 5, 1.0)
         from dpformation import StepSizeTooLarge
         with pytest.raises(StepSizeTooLarge):
             theorem1_bound(build_perron(g, 0.5),
-                           PrivacyParams(0.5, 0.01, 1.0))
+                           [PrivacyParams(0.5, 0.01, 1.0)] * 5)
 
     def test_matches_homogeneous_specialization(self):
         g = build_standard_topology("cycle", 8, 1.0)
         params = PrivacyParams(0.4, 0.01, 1.5)
         expected = corollary1_bound(0.4, algebraic_connectivity(g),
                                     n_agents=8, gamma=0.2, b=1.5, delta=0.01)
-        assert theorem1_bound(build_perron(g, 0.2), params) == pytest.approx(
-            expected, rel=1e-10)
+        assert theorem1_bound(build_perron(g, 0.2),
+                              [params] * 8) == pytest.approx(expected,
+                                                             rel=1e-10)
+
+    @pytest.mark.parametrize("count", [1, 4, 6])
+    def test_needs_one_entry_per_agent(self, count):
+        p = build_perron(build_standard_topology("star", 5, 1.0), 0.2)
+        with pytest.raises(ValueError, match=f"{count} privacy entries"):
+            theorem1_bound(p, [PrivacyParams(0.5, 0.01, 1.0)] * count)
 
 
 class TestEpsilonThreshold:
@@ -252,6 +259,19 @@ class TestTable1:
                                         n_agents=10, e_r=100.0)
         assert eps == pytest.approx(0.07533, rel=0.02)
 
+    def test_cells_are_threshold_cells(self):
+        # the table and a single design cell are built by the same call
+        kw = dict(delta=0.01, b=5.0, w=1.0, gamma=1e-4, e_r=100.0)
+        cells = reproduce_table1(**kw)
+        assert cells == [threshold_cell(c.kind, c.n, **kw) for c in cells]
+        c = threshold_cell("cycle", 100, **kw)
+        lam2 = topology_lambda2("cycle", 100, 1.0)
+        assert c.lambda2 == lam2
+        assert c.numeric == epsilon_threshold_numeric(
+            lam2, gamma=1e-4, delta=0.01, b=5.0, n_agents=100, e_r=100.0)
+        assert c.closed_form == epsilon_threshold_closed_form(
+            "cycle", 100, **kw)
+
 
 class TestBoundSurface:
     """The sweep's grid: corollary1_bound broadcast over an epsilon column
@@ -327,7 +347,7 @@ class TestBoundReport:
     def test_demo_report_is_consistent(self):
         g = build_standard_topology("star", 5, 1.0)
         params = PrivacyParams(math.log(3), 0.00135, 2.0)
-        rep = bound_report(build_perron(g, 0.2), params)
+        rep = bound_report(build_perron(g, 0.2), [params] * 5)
         assert rep.lemma7_lower <= rep.exact_ess <= rep.lemma7_upper
         assert rep.lemma7_upper <= rep.theorem1_upper
         assert rep.corollary1_upper == pytest.approx(rep.theorem1_upper,

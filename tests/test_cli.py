@@ -92,18 +92,48 @@ class TestSimulate:
 
     def test_nan_epsilon_exits_2_without_range_warning(self, tmp_path,
                                                         capsys):
-        cfg = tmp_path / "nan.yaml"
-        cfg.write_text(DEMO_CONFIG.replace("epsilon: 1.0986122886681098",
-                                           "epsilon: .nan"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, text, err = run(capsys, "simulate", "--config", str(cfg),
-                                  "--out", str(tmp_path / "o"))
+        # an infinite epsilon used to run and write NaN CSVs
+        for eps in (".nan", ".inf", "-.inf"):
+            cfg = tmp_path / "eps.yaml"
+            cfg.write_text(DEMO_CONFIG.replace(
+                "epsilon: 1.0986122886681098", f"epsilon: {eps}"))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, text, err = run(capsys, "simulate", "--config",
+                                      str(cfg), "--out", str(tmp_path / "o"))
+            assert code == 2, eps
+            assert "epsilon must be positive and finite" in err
+            assert text == ""
+            assert not (tmp_path / "o").exists()
+            assert not [w for w in caught
+                        if issubclass(w.category, PrivacyRangeWarning)]
+
+    @pytest.mark.parametrize("jobs", ["-3", "-1"])
+    def test_negative_jobs_exits_2_before_output(self, tmp_path, capsys,
+                                                 jobs):
+        # --jobs 0 means all cores; below that used to run on one thread
+        code, text, err = run(capsys, "simulate", "--trials", "5", "--jobs",
+                              jobs, "--out", str(tmp_path / "o"))
         assert code == 2
-        assert "epsilon must be positive" in err
+        assert f"jobs must be >= 1, got {jobs}" in err
         assert text == ""
-        assert not [w for w in caught
-                    if issubclass(w.category, PrivacyRangeWarning)]
+        assert not (tmp_path / "o").exists()
+
+    def test_jobs_zero_uses_all_cores(self, tmp_path, capsys, monkeypatch):
+        from dpformation import dynamics
+        seen = []
+        run_trials = dynamics.run_trials
+
+        def spy(*args, **kw):
+            seen.append(kw["jobs"])
+            return run_trials(*args, **kw)
+
+        monkeypatch.setattr(dynamics, "run_trials", spy)
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        code, _, _ = run(capsys, "simulate", "--trials", "20", "--jobs", "0",
+                         "--out", str(tmp_path))
+        assert code == 0
+        assert seen == [3, 3]  # one run per formation dimension
 
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_seed_exits_2_before_output(self, tmp_path, capsys,
@@ -148,6 +178,18 @@ class TestSimulate:
         assert f"{what} must be an integer, got" in err
         assert text == ""
         assert not (tmp_path / "o").exists()
+
+    def test_anchors_are_one_float_matrix(self, tmp_path, capsys):
+        from dpformation.config import from_mapping
+        anchors = from_mapping(yaml.safe_load(DEMO_CONFIG)).anchors
+        assert anchors.dtype == float and anchors.shape == (5, 2)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(DEMO_CONFIG.replace(", [-20, -20]]", "]"))
+        code, text, err = run(capsys, "simulate", "--config", str(cfg),
+                              "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "formation has 4 anchor rows for 5 agents" in err
+        assert text == ""
 
     def test_missing_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -201,6 +243,26 @@ class TestDesign:
         assert "discrepancy report" in text
         rows = (tmp_path / "thresholds.csv").read_text().splitlines()
         assert len(rows) == 17
+        # the file is written between the table and the report
+        lines = text.splitlines()
+        assert lines[-2] == f"wrote {tmp_path}/thresholds.csv"
+        assert lines[-1].startswith("discrepancy report: 16 ")
+
+    def test_single_cell_out_writes_its_row(self, tmp_path, capsys):
+        code, text, _ = run(capsys, "design", "--kind", "line", "--n", "10",
+                            "--out", str(tmp_path))
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == "line graph, N=10, lambda2=0.0978869674"
+        assert lines[-1] == f"wrote {tmp_path}/thresholds.csv"
+        assert "discrepancy report" not in text
+        rows = (tmp_path / "thresholds.csv").read_text().splitlines()
+        assert rows[0] == "graph,n,epsilon_numeric,epsilon_closed_form"
+        assert len(rows) == 2
+        kind, n, numeric, closed = rows[1].split(",")
+        assert (kind, n) == ("line", "10")
+        assert f"{float(numeric):.9g}" == "0.0753359913"
+        assert f"{float(closed):.9g}" == "3.69515174"
 
     def test_huge_target_gives_positive_threshold(self, capsys):
         code, text, _ = run(capsys, "design", "--kind", "star", "--n", "10",
@@ -319,6 +381,15 @@ class TestSensitivityCommand:
         assert "d(bound)/d(lambda2) = 0" in text
         assert "outside (0, 1/gamma)" in text
 
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    def test_invalid_epsilon_exits_2(self, capsys, eps):
+        # an infinite epsilon used to print NaN partials and a verdict
+        code, text, err = run(capsys, "sensitivity", "--epsilon", eps,
+                              "--lambda2", "1")
+        assert code == 2
+        assert "epsilon must be positive and finite" in err
+        assert text == ""
+
     @pytest.mark.parametrize("b", ["-1", "0", "nan", "inf"])
     def test_invalid_radius_exits_2(self, capsys, b):
         code, text, err = run(capsys, "sensitivity", "--epsilon", "0.5",
@@ -370,6 +441,17 @@ class TestBoundsCommand:
         code, text, err = run(capsys, "bounds", "--config", str(cfg))
         assert code == 2
         assert "adjacency radius b must be positive and finite" in err
+        assert text == ""
+
+    @pytest.mark.parametrize("eps", [".inf", ".nan"])
+    def test_invalid_epsilon_exits_2(self, tmp_path, capsys, eps):
+        # an infinite epsilon used to print NaN for every bound
+        cfg = tmp_path / "eps.yaml"
+        cfg.write_text(EDGE_LIST_CONFIG.replace("epsilon: 0.4",
+                                                f"epsilon: {eps}"))
+        code, text, err = run(capsys, "bounds", "--config", str(cfg))
+        assert code == 2
+        assert "epsilon must be positive and finite" in err
         assert text == ""
 
     def test_nan_gamma_exits_2(self, tmp_path, capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dpformation import (
-    FormationSpec,
     TrialEnsemble,
     WeightedGraph,
     build_perron,
@@ -12,11 +11,11 @@ from dpformation import (
     burn_in_and_window,
     estimate_ess,
     exact_ess_oracle,
-    noise_covariance_diag,
-    random_connected_graph,
+    noise_covariance,
     run_trials,
 )
 from dpformation.dynamics import BLOCK_DRAWS, noise_gain, trial_rngs
+from graph_reference import max_degree, random_connected_graph
 from mc_reference import whole_tensor_run_trials, window_mean_variance
 from step_reference import (
     beta,
@@ -37,21 +36,15 @@ def star5():
 
 class TestFormationSpec:
     def test_offsets_antisymmetric(self):
-        spec = FormationSpec(np.array([[0.0, 0.0], [-20.0, 20.0],
-                                       [20.0, 20.0]]))
+        anchors = np.array([[0.0, 0.0], [-20.0, 20.0], [20.0, 20.0]])
         for i in range(3):
             for j in range(3):
-                assert np.array_equal(offset(spec, i, j),
-                                      -offset(spec, j, i))
+                assert np.array_equal(offset(anchors, i, j),
+                                      -offset(anchors, j, i))
 
     def test_offsets_consistent_with_anchors(self):
         anchors = np.random.default_rng(1).normal(size=(4, 3))
-        spec = FormationSpec(anchors)
-        assert np.array_equal(offset(spec, 1, 3), anchors[3] - anchors[1])
-
-    def test_component_extraction(self):
-        spec = FormationSpec(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(spec.component(1), [2.0, 4.0])
+        assert np.array_equal(offset(anchors, 1, 3), anchors[3] - anchors[1])
 
 
 class TestNoiselessStep:
@@ -87,7 +80,7 @@ class TestPrivateStep:
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = random_connected_graph(int(rng.integers(3, 12)), rng)
-            p = build_perron(g, 0.5 / g.max_degree())
+            p = build_perron(g, 0.5 / max_degree(g))
             x = rng.normal(size=g.n)
             v = rng.normal(size=g.n)
             node = private_step_node(x, g, p.gamma, v)
@@ -95,14 +88,21 @@ class TestPrivateStep:
             assert np.max(np.abs(node - network)) <= 1e-12
 
     def test_perturbation_variance_matches_model(self, star5):
-        # empirical Var[z_i] over 1e5 draws vs gamma^2 sum w^2 sigma^2
+        # empirical Cov[z] of z = G v over 1e5 draws vs G diag(sigma^2) G;
+        # the network model keeps its diagonal, gamma^2 sum w^2 sigma^2
         _, p = star5
         sigmas = np.array([1.0, 2.0, 0.5, 1.5, 3.0])
         rng = np.random.default_rng(6)
         v = rng.standard_normal((10**5, 5)) * sigmas
         z = v @ noise_gain(p)
-        expected = noise_covariance_diag(p, sigmas)
-        assert np.max(np.abs(z.var(axis=0) / expected - 1)) < 0.02
+        protocol = noise_covariance(p, sigmas, "protocol")
+        network = noise_covariance(p, sigmas, "network")
+        assert np.max(np.abs(z.var(axis=0) / np.diag(network) - 1)) < 0.02
+        # the leaves share the hub as their one neighbor, so they correlate
+        assert protocol[1, 2] > 0
+        assert np.max(np.abs(np.cov(z.T) - protocol)) < 0.02 * protocol.max()
+        assert np.allclose(np.diag(protocol), np.diag(network), rtol=1e-14)
+        assert np.array_equal(network, np.diag(np.diag(network)))
 
     def test_mean_evolves_by_noise_sum(self, star5):
         _, p = star5
@@ -177,10 +177,10 @@ class TestRunTrials:
         ens = run_trials(p, sigmas, 1, 20000, 123, noise_model="network")
         # after one step from zero, spread of x equals z spread;
         # check aggregate against projected covariance
-        expected_diag = noise_covariance_diag(p, sigmas)
+        cov = noise_covariance(p, sigmas, "network")
         n = 5
         q = np.eye(n) - np.full((n, n), 1.0 / n)
-        expected = np.trace(q @ np.diag(expected_diag) @ q) / n
+        expected = np.trace(q @ cov @ q) / n
         assert ens.e_agg_mean[1] == pytest.approx(expected, rel=0.05)
 
     def test_unknown_noise_model_rejected(self, star5):
@@ -198,6 +198,26 @@ class TestRunTrials:
         _, p = star5
         with pytest.raises(ValueError, match="horizon"):
             run_trials(p, 1.0, -1, 3, 0)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, star5, jobs):
+        _, p = star5
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_trials(p, 1.0, 5, 3, 0, jobs=jobs)
+
+    @pytest.mark.parametrize("trials, jobs", [(1, 1), (1, 4), (7, 3),
+                                              (6, 3), (2, 5)])
+    def test_chunking_keeps_every_trial(self, star5, trials, jobs):
+        # every trial runs once, on its own draws; a one-trial chunk takes
+        # another matmul path, so the bits may differ in the last place
+        _, p = star5
+        one = run_trials(p, 1.0, 9, trials, 4)
+        split = run_trials(p, 1.0, 9, trials, 4, jobs=jobs)
+        assert split.e_agg_trials.shape == one.e_agg_trials.shape
+        assert np.allclose(split.e_agg_trials, one.e_agg_trials,
+                           rtol=1e-12, atol=1e-15)
+        assert np.allclose(split.first_trajectory, one.first_trajectory,
+                           rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("first_step", [-1, 6])
     def test_rejects_first_step_outside_horizon(self, star5, first_step):
@@ -239,7 +259,7 @@ class TestStreamingMatchesWholeTensor:
                              [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
     def test_bit_identical(self, n, noise_model, jobs, blocks, extra):
         g = random_connected_graph(n, np.random.default_rng(n))
-        p = build_perron(g, 0.5 / g.max_degree())
+        p = build_perron(g, 0.5 / max_degree(g))
         sigmas = np.linspace(0.5, 2.0, n)
         xbar0 = np.linspace(-3.0, 5.0, n)
         block = -(-BLOCK_DRAWS // n)
@@ -280,10 +300,9 @@ class TestDimensionDecomposition:
         _, p = star5
         anchors = np.array([[0.0, 0.0], [-20.0, 20.0], [20.0, 20.0],
                             [20.0, -20.0], [-20.0, -20.0]])
-        spec = FormationSpec(anchors)
         seed = 77
-        for l in range(spec.dimensions):
-            q = spec.component(l)
+        for l in range(anchors.shape[1]):
+            q = anchors[:, l]
             full = run_trials(p, 2.0, 25, 4, (seed, l), xbar0=-q)
             scalar = run_trials(p, 2.0, 25, 4, (seed, l), xbar0=-q)
             assert np.array_equal(full.e_agg_trials, scalar.e_agg_trials)
@@ -313,7 +332,7 @@ def criterion6_setup(seed):
     configuration with graph seed `seed`."""
     rng = np.random.default_rng(seed)
     g = random_connected_graph(int(rng.integers(3, 9)), rng)
-    p = build_perron(g, 0.5 / g.max_degree())
+    p = build_perron(g, 0.5 / max_degree(g))
     return p, rng.uniform(0.5, 1.5, g.n)
 
 
@@ -329,7 +348,7 @@ class TestBurnInAndWindow:
 
     def test_near_periodic_cycle_interval_covers_oracle(self):
         p = build_perron(build_standard_topology("cycle", 4, 1.0), 0.49)
-        exact = exact_ess_oracle(p, noise_covariance_diag(p, 1.0))
+        exact = exact_ess_oracle(p, noise_covariance(p, 1.0, "network"))
         est = estimate_ess(p, 1.0, trials=20000, master_seed=0)
         assert abs(est.value - exact) <= est.half_width
 
@@ -375,8 +394,8 @@ class TestEstimateEss:
         trials = 2000
         est = estimate_ess(p, sigmas, trials=trials, master_seed=seed)
         _, window = burn_in_and_window(p)
-        var = window_mean_variance(p, noise_covariance_diag(p, sigmas),
-                                   window)
+        var = window_mean_variance(
+            p, noise_covariance(p, sigmas, "network"), window)
         ratio = est.half_width / (1.96 * np.sqrt(var / trials))
         assert 0.9 <= ratio <= 1.1, ratio
 

@@ -10,7 +10,6 @@ from dpformation import (
     build_standard_topology,
     is_connected,
     laplacian,
-    random_connected_graph,
     topology_lambda2,
 )
 from chain_reference import (
@@ -19,6 +18,7 @@ from chain_reference import (
     kemeny_spectral_bounds,
     stationary_distribution,
 )
+from graph_reference import max_degree, random_connected_graph
 
 
 def two_node_graph(w=1.0):
@@ -184,7 +184,7 @@ class TestPerron:
         rng = np.random.default_rng(7)
         for _ in range(20):
             g = random_connected_graph(int(rng.integers(3, 15)), rng)
-            gamma = 0.5 / g.max_degree()
+            gamma = 0.5 / max_degree(g)
             p = build_perron(g, gamma)
             lam2p = np.sort(np.linalg.eigvalsh(p.matrix))[-2]
             assert lam2p == pytest.approx(
@@ -202,7 +202,7 @@ class TestStationary:
 
     def test_residual_random_n8(self):
         g = random_connected_graph(8, np.random.default_rng(11))
-        p = build_perron(g, 0.5 / g.max_degree())
+        p = build_perron(g, 0.5 / max_degree(g))
         pi = stationary_distribution(p)
         assert np.max(np.abs(pi @ p.matrix - pi)) < 1e-12
 
@@ -217,14 +217,14 @@ class TestKemeny:
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = random_connected_graph(int(rng.integers(3, 12)), rng)
-            p = build_perron(g, 0.5 / g.max_degree())
+            p = build_perron(g, 0.5 / max_degree(g))
             assert kemeny_constant(p.matrix) > (g.n - 1) / 2
 
     def test_squared_chain_spectral_bounds(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             g = random_connected_graph(int(rng.integers(3, 12)), rng)
-            p = build_perron(g, 0.5 / g.max_degree())
+            p = build_perron(g, 0.5 / max_degree(g))
             k2 = kemeny_constant(p.matrix @ p.matrix)
             lo, hi = kemeny_spectral_bounds(p, algebraic_connectivity(g))
             assert lo < k2 <= hi * (1 + 1e-12)
@@ -244,7 +244,7 @@ class TestSpectralCore:
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda m: calls.append(1) or eigh(m))
         g = random_connected_graph(10, np.random.default_rng(8))
-        p = build_perron(g, 0.3 / g.max_degree())
+        p = build_perron(g, 0.3 / max_degree(g))
         assert algebraic_connectivity(g) == g.spectrum[0][1]
         assert p.mode_gaps.shape == (9,)
         assert len(calls) == 1
@@ -266,7 +266,7 @@ class TestSpectralCore:
 
     def test_mode_gaps_are_one_minus_mu_squared(self):
         g = random_connected_graph(7, np.random.default_rng(10))
-        p = build_perron(g, 0.5 / g.max_degree())
+        p = build_perron(g, 0.5 / max_degree(g))
         mu = np.sort(np.linalg.eigvalsh(p.matrix))[::-1][1:]
         assert np.allclose(np.sort(p.mode_gaps), np.sort(1 - mu**2),
                            rtol=1e-10)

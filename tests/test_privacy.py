@@ -116,9 +116,11 @@ class TestKappa:
                                 eps.tolist()]
         assert type(kappa(0.01, 0.5)) is float
 
-    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, [0.5, 0.0]])
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, [0.5, 0.0],
+                                     math.inf, [0.5, math.inf]])
     def test_nonpositive_epsilon_rejected(self, eps):
-        with pytest.raises(ValueError, match="epsilon must be positive"):
+        with pytest.raises(ValueError,
+                           match="epsilon must be positive and finite"):
             kappa(0.01, eps)
 
     def test_increasing_in_k_delta(self):
@@ -165,7 +167,7 @@ class TestNoiseScale:
 class TestPrivacyParamsValidation:
     @pytest.mark.parametrize("eps,delta,b", [
         (0.0, 0.01, 1.0), (-1.0, 0.01, 1.0), (math.nan, 0.001, 1.0),
-        (0.5, 0.0, 1.0), (0.5, 0.5, 1.0),
+        (math.inf, 0.01, 1.0), (0.5, 0.0, 1.0), (0.5, 0.5, 1.0),
         (0.5, 0.01, 0.0),
     ])
     def test_invalid_rejected(self, eps, delta, b):

@@ -1,7 +1,7 @@
 """Property tests for the spectral core, the Monte Carlo plan and its
 trial seeding, and the design path.
 
-Graphs come from random_connected_graph (weights in (0.1, 1]), with step
+Graphs come from graph_reference.random_connected_graph (weights in (0.1, 1]), with step
 size gamma in [0.05, 0.5] / d_max and heterogeneous per-agent privacy; the
 plan is also checked up to gamma near 1 / d_max, where P has negative
 eigenvalues.
@@ -18,13 +18,12 @@ from dpformation import (
     epsilon_threshold_numeric,
     exact_ess_oracle,
     lemma7_sandwich,
-    noise_covariance_diag,
-    noise_gain,
+    noise_covariance,
     noise_scale,
-    random_connected_graph,
     theorem1_bound,
     trial_rngs,
 )
+from graph_reference import max_degree, random_connected_graph
 from lyapunov_reference import iterative_ess_oracle
 from mc_reference import trial_rng
 
@@ -37,41 +36,42 @@ def configs(draw):
     n = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_connected_graph(n, rng, draw(st.floats(0.0, 0.6)))
-    gamma = draw(st.floats(0.05, 0.5)) / g.max_degree()
+    gamma = draw(st.floats(0.05, 0.5)) / max_degree(g)
     params = [PrivacyParams(float(rng.uniform(0.1, np.log(3.0))),
                             float(rng.uniform(1e-4, 0.01)),
                             float(rng.uniform(0.5, 2.0))) for _ in range(n)]
     p = build_perron(g, gamma)
-    z = noise_covariance_diag(p, [noise_scale(q) for q in params])
-    return g, p, params, z
+    sigmas = [noise_scale(q) for q in params]
+    return g, p, params, sigmas
 
 
 @SETTINGS
 @given(configs())
 def test_oracle_matches_iterative_reference(cfg):
-    _, p, params, z = cfg
-    ref = iterative_ess_oracle(p, z)
-    assert abs(exact_ess_oracle(p, z) - ref) <= 1e-9 * ref
-    # protocol noise: full covariance G S G, correlated across agents
-    gain = noise_gain(p)
-    cov = gain @ np.diag([noise_scale(q) ** 2 for q in params]) @ gain
-    ref = iterative_ess_oracle(p, cov)
-    assert abs(exact_ess_oracle(p, cov) - ref) <= 1e-9 * ref
+    # network noise is diagonal; protocol noise G S G is correlated across
+    # agents that share a neighbor
+    _, p, _, sigmas = cfg
+    for model in ("network", "protocol"):
+        cov = noise_covariance(p, sigmas, model)
+        ref = iterative_ess_oracle(p, cov)
+        assert abs(exact_ess_oracle(p, cov) - ref) <= 1e-9 * ref, model
 
 
 @SETTINGS
 @given(configs())
 def test_oracle_inside_lemma7_sandwich(cfg):
-    _, p, _, z = cfg
-    lo, hi = lemma7_sandwich(p, z)
-    assert lo * (1 - 1e-10) <= exact_ess_oracle(p, z) <= hi * (1 + 1e-10)
+    _, p, _, sigmas = cfg
+    cov = noise_covariance(p, sigmas, "network")
+    lo, hi = lemma7_sandwich(p, np.diag(cov))
+    assert lo * (1 - 1e-10) <= exact_ess_oracle(p, cov) <= hi * (1 + 1e-10)
 
 
 @SETTINGS
 @given(configs())
 def test_oracle_below_theorem1_bound(cfg):
-    _, p, params, z = cfg
-    assert exact_ess_oracle(p, z) <= theorem1_bound(p, params) * (1 + 1e-12)
+    _, p, params, sigmas = cfg
+    cov = noise_covariance(p, sigmas, "network")
+    assert exact_ess_oracle(p, cov) <= theorem1_bound(p, params) * (1 + 1e-12)
 
 
 @SETTINGS
@@ -79,7 +79,7 @@ def test_oracle_below_theorem1_bound(cfg):
        extra=st.floats(0.0, 0.6), frac=st.floats(0.01, 0.999))
 def test_burn_in_is_the_first_step_below_tolerance(n, seed, extra, frac):
     g = random_connected_graph(n, np.random.default_rng(seed), extra)
-    p = build_perron(g, frac / g.max_degree())
+    p = build_perron(g, frac / max_degree(g))
     burn_in, window = burn_in_and_window(p)
     # rho = max |mu_i| over all but the unit eigenvalue, from P itself
     rho = np.abs(np.linalg.eigvalsh(p.matrix)[:-1]).max()

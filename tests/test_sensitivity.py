@@ -72,8 +72,10 @@ class TestPartialLambda2:
             make_point(lambda2=25.0, gamma=0.1)  # >= 2/gamma
         with pytest.raises(ValueError):
             make_point(epsilon=0.0)
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            make_point(epsilon=float("nan"))
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ValueError,
+                               match="epsilon must be positive and finite"):
+                make_point(epsilon=eps)
 
     @pytest.mark.parametrize("b", [-1.0, 0.0, float("nan"), float("inf")])
     def test_radius_validation(self, b):
