@@ -158,6 +158,48 @@ def trial_rngs(master_seed, t_lo: int, t_hi: int) -> list:
 BLOCK_DRAWS = 1024
 
 
+def _agent_sum(y: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+    """out = the sum of y over axis 1, for y of shape (rows, m, cols).
+
+    Adds whole (rows, cols) slabs in the order in which numpy's pairwise
+    summation adds a contiguous run of m values, so out equals np.sum over
+    a copy of y with axis 1 innermost, bit for bit, except that a column of
+    negative zeros sums to -0.0 rather than 0.0. As in numpy: below 8
+    terms one after the other; up to 128, eight accumulators r_k over the
+    terms k, k+8, ..., combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
+    followed by the remainder; above 128, the sum of two halves split at a
+    multiple of 8. spare is a flat buffer of at least y.size floats and is
+    overwritten.
+    """
+    rows, m, cols = y.shape
+    if m < 8:
+        np.copyto(out, y[:, 0])
+        for i in range(1, m):
+            out += y[:, i]
+        return
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        _agent_sum(y[:, :half], out, spare)
+        rest = spare[:out.size].reshape(out.shape)
+        _agent_sum(y[:, half:], rest, spare[out.size:])
+        out += rest
+        return
+    tail = m - m % 8
+    r = spare[:rows * 8 * cols].reshape(rows, 8, cols)
+    # pair sums r0+r1, r2+r3, r4+r5, r6+r7 into the even accumulators
+    if m < 16:
+        np.add(y[:, 0:8:2], y[:, 1:8:2], out=r[:, 0::2])
+    else:
+        np.add(y[:, :8], y[:, 8:16], out=r)
+        for lo in range(16, tail, 8):
+            r += y[:, lo:lo + 8]
+        r[:, 0::2] += r[:, 1::2]
+    r[:, 0::4] += r[:, 2::4]
+    np.add(r[:, 0], r[:, 4], out=out)
+    for i in range(tail, m):
+        out += y[:, i]
+
+
 @dataclass(frozen=True)
 class TrialEnsemble:
     """Per-trial error series of a Monte Carlo run; the trial average and
@@ -199,7 +241,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
 
     noise_model, "protocol" or "network", selects the law of the state
     perturbation z; noise_covariance gives each law's Cov[z]. jobs >= 1
-    caps the number of equal chunks of trials, one thread each.
+    caps the number of chunks of trials, one thread each; a chunk holds at
+    least two trials unless trials == 1.
 
     The squared-error series, its mean and its standard error cover steps
     first_step ... horizon only; earlier steps are simulated but not
@@ -218,36 +261,49 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
     gain = noise_gain(p)
-    z_scale = np.sqrt(np.diag(noise_covariance(p, sigmas, noise_model)))
+    # the scale of each draw: sigma_j for the protocol law, which mixes the
+    # scaled draws through the gain, and the network law's z_i directly
+    scale = (sigmas if noise_model == "protocol"
+             else np.sqrt(np.diag(noise_covariance(p, sigmas, noise_model))))
 
     block = max(1, min(-(-BLOCK_DRAWS // n), horizon))
+    # one scale per draw of a trial's block row
+    scale_row = np.tile(scale, block)
 
     def run_chunk(t_lo, t_hi):
         count = t_hi - t_lo
         rngs = trial_rngs(master_seed, t_lo, t_hi)
         # trial-major, so each generator fills one contiguous run
         v = np.empty((count, block, n))
+        draws = v.reshape(count, block * n)
         # z[j] is the (count, n) perturbation of the block's step j
         z = (v.transpose(1, 0, 2) if noise_model == "network"
              else np.empty((block, count, n)))
         x = np.empty((block + 1, count, n))  # x[0] carries the block's start
         x[0] = x0
-        # the block's noise is spent once its recursion has run, so v's
-        # memory doubles as the scratch for the centered states
-        dev = v.reshape(block, count, n)
-        mean = np.empty((block, count, 1))
         e_agg = np.empty((horizon + 1 - first_step, count))
         traj = np.empty((horizon + 1, n)) if t_lo == 0 else None
 
         def mean_square_error(states, out):
-            """out[j] = mean over agents of (states[j] - its mean)^2,
-            summed then divided as np.mean does, so the bits match."""
-            b = len(states)
-            np.sum(states, axis=2, keepdims=True, out=mean[:b])
-            mean[:b] /= n
-            np.subtract(states, mean[:b], out=dev[:b])
-            np.square(dev[:b], out=dev[:b])
-            np.sum(dev[:b], axis=2, out=out)
+            """out[j] = mean over agents of (states[j] - its mean)^2 for
+            (rows, count, n) states, bit for bit as np.mean over agents.
+
+            Once the block's recursion has run, its noise in v is spent,
+            and so is x[1:], as x[0] carries the next block's start. v
+            takes an agent-major copy of the states, so every operation
+            after it runs on whole (rows, count) slabs, and x[1:] is
+            _agent_sum's scratch; the agent means wait in out until the
+            second sum.
+            """
+            rows = len(states)
+            y = v.reshape(-1)[:rows * n * count].reshape(rows, n, count)
+            np.copyto(y, states.transpose(0, 2, 1))
+            spare = x[1:].reshape(-1)
+            _agent_sum(y, out, spare)
+            out /= n
+            np.subtract(y, out[:, None], out=y)
+            np.square(y, out=y)
+            _agent_sum(y, out, spare)
             out /= n
 
         if first_step == 0:
@@ -258,28 +314,31 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
             b = min(block, horizon - k0)
             for i, g in enumerate(rngs):
                 g.standard_normal(out=v[i, :b])
+            draws[:, :b * n] *= scale_row[:b * n]
             if noise_model == "protocol":
-                v[:, :b] *= sigmas
                 # gain is symmetric
                 np.matmul(v[:, :b].transpose(1, 0, 2), gain, out=z[:b])
-            else:
-                v[:, :b] *= z_scale
             for j in range(b):
                 np.matmul(x[j], p.matrix, out=x[j + 1])  # P is symmetric
                 x[j + 1] += z[j]
+            if traj is not None:
+                traj[k0 + 1:k0 + b + 1] = x[1:b + 1, 0]
+            x[0] = x[b]
             # block step j is run step k0 + j; reduce those >= first_step
             j0 = max(1, first_step - k0)
             if j0 <= b:
                 mean_square_error(x[j0:b + 1],
                                   e_agg[k0 + j0 - first_step:
                                         k0 + b + 1 - first_step])
-            if traj is not None:
-                traj[k0 + 1:k0 + b + 1] = x[1:b + 1, 0]
-            x[0] = x[b]
         return e_agg, traj
 
-    step = -(-trials // jobs)
-    chunks = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+    # a one-trial chunk would take numpy's matrix-vector product, whose
+    # rounding differs from a row of a matrix-matrix product, so every
+    # chunk holds at least two trials and a last lone trial joins the
+    # chunk before it
+    step = max(2, -(-trials // jobs))
+    starts = list(range(0, max(1, trials - 1), step))
+    chunks = list(zip(starts, starts[1:] + [trials]))
     if len(chunks) == 1:
         results = [run_chunk(*chunks[0])]
     else:

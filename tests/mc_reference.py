@@ -68,12 +68,10 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
                 traj[k + 1] = x[0]
         return e_agg, traj
 
-    if jobs <= 1 or trials == 1:
-        chunks = [(0, trials)]
-    else:
-        step = -(-trials // jobs)
-        chunks = [(lo, min(lo + step, trials))
-                  for lo in range(0, trials, step)]
+    # run_trials' chunks: at least two trials each unless trials == 1
+    step = max(2, -(-trials // jobs))
+    starts = list(range(0, max(1, trials - 1), step))
+    chunks = list(zip(starts, starts[1:] + [trials]))
     if len(chunks) == 1:
         results = [run_chunk(*chunks[0])]
     else:
