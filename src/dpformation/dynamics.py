@@ -157,6 +157,11 @@ def trial_rngs(master_seed, t_lo: int, t_hi: int) -> list:
 # short blocks would be dominated by the call overhead
 BLOCK_DRAWS = 1024
 
+# trials per tile of run_trials: a tile's noise and state buffers take
+# TILE_TRIALS * BLOCK_DRAWS * 8 B = 2 MiB each, and the tiles, not the
+# worker threads, set which trials share a matrix product
+TILE_TRIALS = 256
+
 
 def _agent_sum(y: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
     """out = the sum of y over axis 1, for y of shape (rows, m, cols).
@@ -231,18 +236,20 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     """Simulate independent seeded trials of the private dynamics.
 
     Trial t draws its noise from a generator keyed by (master_seed, t)
-    (trial_rngs), so results are independent of how trials are chunked
-    across workers.
-    Each worker walks the horizon in time blocks of about BLOCK_DRAWS draws
+    (trial_rngs). The trials are split into tiles of TILE_TRIALS, a last
+    lone trial joining the tile before it, and the tiles do not depend on
+    jobs: jobs >= 1 only caps the number of threads, at most one per tile,
+    and thread w runs tiles w, w + threads, ... in one set of buffers. So
+    every trial is a row of the same matrix products whatever jobs is, and
+    the results are the same bits.
+    Each tile walks the horizon in time blocks of about BLOCK_DRAWS draws
     per trial, refilling its buffers from the same generators block after
     block; the draws, and so the results, are those of one whole-horizon
     draw per trial, while memory stays O(horizon * trials) for the error
-    series plus O(BLOCK_DRAWS * trials) per worker.
+    series plus O(TILE_TRIALS * BLOCK_DRAWS) per thread.
 
     noise_model, "protocol" or "network", selects the law of the state
-    perturbation z; noise_covariance gives each law's Cov[z]. jobs >= 1
-    caps the number of chunks of trials, one thread each; a chunk holds at
-    least two trials unless trials == 1.
+    perturbation z; noise_covariance gives each law's Cov[z].
 
     The squared-error series, its mean and its standard error cover steps
     first_step ... horizon only; earlier steps are simulated but not
@@ -270,19 +277,21 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     # one scale per draw of a trial's block row
     scale_row = np.tile(scale, block)
 
-    def run_chunk(t_lo, t_hi):
+    def run_tile(t_lo, t_hi, space):
         count = t_hi - t_lo
         rngs = trial_rngs(master_seed, t_lo, t_hi)
+        size = count * block * n
         # trial-major, so each generator fills one contiguous run
-        v = np.empty((count, block, n))
+        v = space[0][:size].reshape(count, block, n)
         draws = v.reshape(count, block * n)
         # z[j] is the (count, n) perturbation of the block's step j
         z = (v.transpose(1, 0, 2) if noise_model == "network"
-             else np.empty((block, count, n)))
-        x = np.empty((block + 1, count, n))  # x[0] carries the block's start
+             else space[1][:size].reshape(block, count, n))
+        # x[0] carries the block's start
+        x = space[2][:size + count * n].reshape(block + 1, count, n)
         x[0] = x0
-        e_agg = np.empty((horizon + 1 - first_step, count))
-        traj = np.empty((horizon + 1, n)) if t_lo == 0 else None
+        e_tile = e_agg[:, t_lo:t_hi]
+        first = t_lo == 0
 
         def mean_square_error(states, out):
             """out[j] = mean over agents of (states[j] - its mean)^2 for
@@ -307,8 +316,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
             out /= n
 
         if first_step == 0:
-            mean_square_error(x[:1], e_agg[:1])
-        if traj is not None:
+            mean_square_error(x[:1], e_tile[:1])
+        if first:
             traj[0] = x0
         for k0 in range(0, horizon, block):
             b = min(block, horizon - k0)
@@ -321,33 +330,48 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
             for j in range(b):
                 np.matmul(x[j], p.matrix, out=x[j + 1])  # P is symmetric
                 x[j + 1] += z[j]
-            if traj is not None:
+            if first:
                 traj[k0 + 1:k0 + b + 1] = x[1:b + 1, 0]
             x[0] = x[b]
             # block step j is run step k0 + j; reduce those >= first_step
             j0 = max(1, first_step - k0)
             if j0 <= b:
                 mean_square_error(x[j0:b + 1],
-                                  e_agg[k0 + j0 - first_step:
-                                        k0 + b + 1 - first_step])
-        return e_agg, traj
+                                  e_tile[k0 + j0 - first_step:
+                                         k0 + b + 1 - first_step])
 
-    # a one-trial chunk would take numpy's matrix-vector product, whose
-    # rounding differs from a row of a matrix-matrix product, so every
-    # chunk holds at least two trials and a last lone trial joins the
-    # chunk before it
-    step = max(2, -(-trials // jobs))
-    starts = list(range(0, max(1, trials - 1), step))
-    chunks = list(zip(starts, starts[1:] + [trials]))
-    if len(chunks) == 1:
-        results = [run_chunk(*chunks[0])]
+    # a one-trial tile would take numpy's matrix-vector product, whose
+    # rounding differs from a row of a matrix-matrix product, so a last
+    # lone trial joins the tile before it
+    starts = list(range(0, max(1, trials - 1), TILE_TRIALS))
+    tiles = list(zip(starts, starts[1:] + [trials]))
+    workers = min(jobs, len(tiles))
+    shares = [tiles[w::workers] for w in range(workers)]
+
+    def buffers(share):
+        """Flat noise, mixed-noise and state buffers whose leading parts
+        every tile of a worker's share views."""
+        count = max(hi - lo for lo, hi in share)
+        size = count * block * n
+        mixed = 0 if noise_model == "network" else size
+        return np.empty(size), np.empty(mixed), np.empty(size + count * n)
+
+    def run_share(share, space):
+        for tile in share:
+            run_tile(*tile, space)
+
+    # the buffers come before the results, so that once freed they leave
+    # a hole the next run reuses, not a heap top that malloc hands back to
+    # the system and the next run faults in again
+    spaces = [buffers(share) for share in shares]
+    e_agg = np.empty((horizon + 1 - first_step, trials))
+    traj = np.empty((horizon + 1, n))
+    if workers == 1:
+        run_share(shares[0], spaces[0])
     else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(lambda c: run_chunk(*c), chunks))
-
-    e_agg = (results[0][0] if len(results) == 1
-             else np.concatenate([r[0] for r in results], axis=1))
-    return TrialEnsemble(e_agg, results[0][1])
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_share, shares, spaces))
+    return TrialEnsemble(e_agg, traj)
 
 
 # bias bound of estimate_ess, relative to e_ss: the start-up transient left

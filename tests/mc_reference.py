@@ -14,11 +14,9 @@ window_mean_variance is the exact second moment of what estimate_ess
 averages, so the tests can check the spread of the simulated noise and not
 only its mean.
 """
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from dpformation.dynamics import TrialEnsemble, noise_gain
+from dpformation.dynamics import TILE_TRIALS, TrialEnsemble, noise_gain
 
 
 def trial_rng(master_seed, trial: int) -> np.random.Generator:
@@ -33,9 +31,10 @@ def trial_rng(master_seed, trial: int) -> np.random.Generator:
 
 
 def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
-                            master_seed, xbar0=None, jobs: int = 1,
+                            master_seed, xbar0=None,
                             noise_model: str = "protocol") -> TrialEnsemble:
-    """run_trials with the noise of every step materialized up front."""
+    """run_trials with the noise of every step materialized up front,
+    on run_trials' tiles, one after the other."""
     n = p.n
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
@@ -43,7 +42,7 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
     # the network law: independent z_i of variance sum_j G_ij^2 sigma_j^2
     z_scale = np.sqrt(gain**2 @ sigmas**2)
 
-    def run_chunk(t_lo, t_hi):
+    def run_tile(t_lo, t_hi):
         count = t_hi - t_lo
         v = np.empty((horizon, count, n))
         for t in range(t_lo, t_hi):
@@ -68,15 +67,12 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
                 traj[k + 1] = x[0]
         return e_agg, traj
 
-    # run_trials' chunks: at least two trials each unless trials == 1
-    step = max(2, -(-trials // jobs))
-    starts = list(range(0, max(1, trials - 1), step))
-    chunks = list(zip(starts, starts[1:] + [trials]))
-    if len(chunks) == 1:
-        results = [run_chunk(*chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(lambda c: run_chunk(*c), chunks))
+    # run_trials' tiles: TILE_TRIALS trials each, a last lone trial
+    # joining the tile before it; run_trials' jobs only sets how many
+    # threads run them
+    starts = list(range(0, max(1, trials - 1), TILE_TRIALS))
+    tiles = zip(starts, starts[1:] + [trials])
+    results = [run_tile(*tile) for tile in tiles]
 
     e_agg = np.concatenate([r[0] for r in results], axis=1)
     return TrialEnsemble(e_agg, results[0][1])

@@ -14,7 +14,12 @@ from dpformation import (
     noise_covariance,
     run_trials,
 )
-from dpformation.dynamics import BLOCK_DRAWS, noise_gain, trial_rngs
+from dpformation.dynamics import (
+    BLOCK_DRAWS,
+    TILE_TRIALS,
+    noise_gain,
+    trial_rngs,
+)
 from graph_reference import max_degree, random_connected_graph
 from mc_reference import whole_tensor_run_trials, window_mean_variance
 from step_reference import (
@@ -256,17 +261,31 @@ class TestStreamingMatchesWholeTensor:
     @pytest.mark.parametrize("blocks, extra",
                              [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
     def test_bit_identical(self, n, noise_model, jobs, blocks, extra):
+        block = -(-BLOCK_DRAWS // n)
+        self.check(n, noise_model, jobs, blocks * block + extra, 5)
+
+    # the lone trial after one tile joins it; three tiles, the last
+    # holding five trials; nine steps cross a block at N = 130
+    @pytest.mark.parametrize("n", [3, 17, 130])
+    @pytest.mark.parametrize("noise_model", ["protocol", "network"])
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("trials", [TILE_TRIALS + 1,
+                                        2 * TILE_TRIALS + 5])
+    def test_bit_identical_across_tiles(self, n, noise_model, jobs, trials):
+        self.check(n, noise_model, jobs, 9, trials)
+
+    @staticmethod
+    def check(n, noise_model, jobs, h, trials):
         g = random_connected_graph(n, np.random.default_rng(n))
         p = build_perron(g, 0.5 / max_degree(g))
         sigmas = np.linspace(0.5, 2.0, n)
         xbar0 = np.linspace(-3.0, 5.0, n)
         block = -(-BLOCK_DRAWS // n)
-        h = blocks * block + extra
-        args = (p, sigmas, h, 5, (11, n))
-        kw = dict(xbar0=xbar0, jobs=jobs, noise_model=noise_model)
+        args = (p, sigmas, h, trials, (11, n))
+        kw = dict(xbar0=xbar0, noise_model=noise_model)
         want = whole_tensor_run_trials(*args, **kw)
         for first_step in (0, 1, min(block, h), h):
-            got = run_trials(*args, first_step=first_step, **kw)
+            got = run_trials(*args, first_step=first_step, jobs=jobs, **kw)
             for field in ("e_agg_trials", "e_agg_mean", "e_agg_sem"):
                 assert np.array_equal(getattr(got, field),
                                       getattr(want, field)[first_step:]), \
@@ -289,6 +308,22 @@ class TestRunTrialsMemory:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 8 * h * trials * n
+
+    @pytest.mark.parametrize("noise_model", ["protocol", "network"])
+    def test_working_memory_does_not_grow_with_trials(self, noise_model):
+        # beyond the error series, one tile's noise, state and (protocol)
+        # mixed-noise buffers of 8 * TILE_TRIALS * BLOCK_DRAWS bytes each
+        # (2.2x and 3.2x that in all here); buffers for all the trials at
+        # once would take 8.5x (network) and 12.5x (protocol)
+        h, trials, n = 200, 4 * TILE_TRIALS, 8
+        p = build_perron(build_standard_topology("cycle", n, 1.0), 0.25)
+        tracemalloc.start()
+        try:
+            run_trials(p, 1.0, h, trials, 0, noise_model=noise_model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * (h + 1) * trials < 5 * 8 * TILE_TRIALS * BLOCK_DRAWS
 
 
 class TestDimensionDecomposition:
