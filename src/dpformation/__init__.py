@@ -11,7 +11,6 @@ from .graphs import (
     build_perron,
     build_standard_topology,
     is_connected,
-    laplacian,
     topology_lambda2,
 )
 from .privacy import (
@@ -44,7 +43,6 @@ from .bounds import (
     threshold_cell,
 )
 from .config import ConfigError, RunConfig, demo_config
-from .config import load as load_config
 from .sensitivity import (
     CutoffReport,
     SensitivityPoint,

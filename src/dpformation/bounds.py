@@ -62,7 +62,7 @@ def _prefactor(n_agents: int, gamma: float, lambda2):
     denominator is positive. The one check of N and lambda2."""
     if n_agents < 2:
         raise ValueError(f"need at least 2 agents, got {n_agents}")
-    privacy.check_gamma(gamma)
+    graphs.check_gamma(gamma)
     lam2 = np.asarray(lambda2, dtype=float)
     if not np.all((lam2 > 0) & (lam2 < 2.0 / gamma)):
         raise ValueError("lambda2 must lie in (0, 2/gamma)")
@@ -127,7 +127,7 @@ def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
     epsilon_threshold_numeric for the exact inversion of the bound.
     """
     privacy.check_radius(b)
-    privacy.check_gamma(gamma)
+    graphs.check_gamma(gamma)
     k = privacy.q_inverse(delta)
     if kind == "impossibility":
         if lambda2 is None:
@@ -204,7 +204,6 @@ class BoundReport:
     lemma7_lower: float
     lemma7_upper: float
     theorem1_upper: float
-    corollary1_upper: float | None
     exact_ess: float
 
 
@@ -213,14 +212,10 @@ def bound_report(p: PerronMatrix, params) -> BoundReport:
     privacy setup, under the "network" noise model the sandwich describes.
 
     params is a sequence of N PrivacyParams, one per agent; when all N are
-    equal the simplified homogeneous bound is reported too.
+    equal, theorem1_upper is the homogeneous corollary1_bound.
     """
     upper = theorem1_bound(p, params)  # checks there are N params
     sigmas = np.array([privacy.noise_scale(q) for q in params])
     cov = dynamics.noise_covariance(p, sigmas, "network")
     lo, hi = lemma7_sandwich(p, np.diag(cov))
-    q = params[0]
-    c1 = (corollary1_bound(q.epsilon, graphs.algebraic_connectivity(p.graph),
-                           n_agents=p.n, gamma=p.gamma, b=q.b, delta=q.delta)
-          if all(r == q for r in params) else None)
-    return BoundReport(lo, hi, upper, c1, exact_ess_oracle(p, cov))
+    return BoundReport(lo, hi, upper, exact_ess_oracle(p, cov))

@@ -208,14 +208,15 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = config.load(args.config) if args.config else config.demo_config()
+    params = cfg.privacy_params
     rep = bounds.bound_report(graphs.build_perron(cfg.graph, cfg.gamma),
-                              cfg.privacy_params)
+                              params)
     print(f"exact e_ss (oracle):      {_fmt(rep.exact_ess)}")
     print(f"sandwich lower bound:     {_fmt(rep.lemma7_lower)}")
     print(f"sandwich upper bound:     {_fmt(rep.lemma7_upper)}")
     print(f"closed-form upper bound:  {_fmt(rep.theorem1_upper)}")
-    if rep.corollary1_upper is not None:
-        print(f"homogeneous upper bound:  {_fmt(rep.corollary1_upper)}")
+    if all(q == params[0] for q in params):
+        print(f"homogeneous upper bound:  {_fmt(rep.theorem1_upper)}")
     return 0
 
 
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (config.ConfigError, graphs.StepSizeTooLarge, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and StepSizeTooLarge included
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except graphs.NumericalError as exc:

@@ -45,10 +45,15 @@ class RunConfig:
                 f"{self.graph.n} agents")
         anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
         object.__setattr__(self, "anchors", anchors)
+        if anchors.ndim != 2 or anchors.shape[1] < 1:
+            raise ConfigError("formation anchors must be an (N, n) matrix "
+                              f"with n >= 1, got shape {anchors.shape}")
         if anchors.shape[0] != self.graph.n:
             raise ConfigError(
                 f"formation has {anchors.shape[0]} anchor rows "
                 f"for {self.graph.n} agents")
+        if not np.all(np.isfinite(anchors)):
+            raise ConfigError("formation anchors must be finite")
         if self.horizon < 1 or self.trials < 1:
             raise ConfigError("horizon and trials must be >= 1")
         if self.master_seed < 0:
@@ -82,15 +87,28 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _real(value, what: str) -> float:
+    """float(value) for a number or a numeric string (PyYAML reads 1e-3,
+    an exponent without a dot, as a string); a bool is refused, not read
+    as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
 def parse_graph(spec: dict) -> WeightedGraph:
     _check_keys(spec, ("kind", "n", "w", "nodes", "edges"), "graph")
     if "kind" in spec:
         return graphs.build_standard_topology(
             spec["kind"], _integer(spec["n"], "graph n"),
-            float(spec.get("w", 1.0)))
+            _real(spec.get("w", 1.0), "graph w"))
     if "nodes" in spec:
         edges = tuple((_integer(i, "edge endpoint") - 1,
-                       _integer(j, "edge endpoint") - 1, float(w))
+                       _integer(j, "edge endpoint") - 1,
+                       _real(w, "edge weight"))
                       for i, j, w in spec.get("edges", []))
         return WeightedGraph(_integer(spec["nodes"], "graph nodes"), edges)
     raise ConfigError("graph spec needs either 'kind' or 'nodes'")
@@ -99,8 +117,8 @@ def parse_graph(spec: dict) -> WeightedGraph:
 def parse_privacy(spec, n: int) -> tuple:
     def one(d):
         _check_keys(d, ("epsilon", "delta", "b"), "privacy")
-        return privacy.PrivacyParams(float(d["epsilon"]), float(d["delta"]),
-                                     float(d["b"]))
+        return privacy.PrivacyParams(*(_real(d[k], k)
+                                       for k in ("epsilon", "delta", "b")))
     if not isinstance(spec, list):
         return (one(spec),) * n
     entries = tuple(one(d) for d in spec)
@@ -118,7 +136,7 @@ def from_mapping(data: dict) -> RunConfig:
         g = parse_graph(data["graph"])
         return RunConfig(
             graph=g,
-            gamma=float(data["gamma"]),
+            gamma=_real(data["gamma"], "gamma"),
             horizon=_integer(data.get("horizon", 100), "horizon"),
             trials=_integer(data.get("trials", 1000), "trials"),
             master_seed=_integer(data.get("seed", 0), "seed"),
@@ -137,8 +155,7 @@ def load(path) -> RunConfig:
     return from_mapping(data)
 
 
-def demo_config(trials: int = 1000, horizon: int = 100,
-                seed: int = 1) -> RunConfig:
+def demo_config() -> RunConfig:
     """Five agents on a star: four corners of a square plus the hub at the
     center, homogeneous privacy (epsilon = ln 3, delta = 0.00135, b = 2)."""
     anchors = np.array([[0.0, 0.0], [-20.0, 20.0], [20.0, 20.0],
@@ -146,9 +163,9 @@ def demo_config(trials: int = 1000, horizon: int = 100,
     return RunConfig(
         graph=graphs.build_standard_topology("star", 5, 1.0),
         gamma=0.2,
-        horizon=horizon,
-        trials=trials,
-        master_seed=seed,
+        horizon=100,
+        trials=1000,
+        master_seed=1,
         privacy_params=(privacy.PrivacyParams(math.log(3.0), 0.00135, 2.0),)
         * 5,
         anchors=anchors,

@@ -15,7 +15,8 @@ import numpy as np
 
 
 class StepSizeTooLarge(ValueError):
-    """Raised when gamma violates the double-stochasticity conditions."""
+    """Raised when gamma * d_max >= 1: I - gamma*L then has a diagonal
+    entry <= 0."""
 
 
 class NumericalError(RuntimeError):
@@ -24,25 +25,25 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected simple weighted graph on nodes 0..node_count-1.
+    """Undirected simple weighted graph on nodes 0..n-1.
 
     Edges are stored once per unordered pair as (i, j, w) with i < j and
     w > 0, so symmetry of weights holds by construction. The Laplacian and
     its eigendecomposition are computed on first use and cached read-only.
     """
 
-    node_count: int
+    n: int
     edges: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError("node_count must be positive")
+        if self.n < 1:
+            raise ValueError("n must be positive")
         seen = set()
         normalized = []
         for (i, j, w) in self.edges:
             if i == j:
                 raise ValueError(f"self-loop on node {i}")
-            if not (0 <= i < self.node_count and 0 <= j < self.node_count):
+            if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i},{j}) out of range")
             if not (math.isfinite(w) and w > 0):
                 raise ValueError(f"edge ({i},{j}) has weight {w}; weights "
@@ -54,10 +55,6 @@ class WeightedGraph:
             normalized.append((key[0], key[1], float(w)))
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
-    @property
-    def n(self) -> int:
-        return self.node_count
-
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for i, j, w in self.edges:
@@ -66,7 +63,9 @@ class WeightedGraph:
         return a
 
     @cached_property
-    def _laplacian(self) -> np.ndarray:
+    def laplacian(self) -> np.ndarray:
+        """Weighted Laplacian L = D - A, degrees on the diagonal; cached
+        read-only."""
         a = self.adjacency_matrix()
         lap = np.diag(a.sum(axis=1)) - a
         lap.flags.writeable = False
@@ -76,19 +75,17 @@ class WeightedGraph:
     def spectrum(self) -> tuple:
         """(lambda, U) = eigh(L): Laplacian eigenvalues in ascending order
         and orthonormal eigenvectors as columns, one eigensolve per graph."""
-        lam, u = np.linalg.eigh(self._laplacian)
+        lam, u = np.linalg.eigh(self.laplacian)
         lam.flags.writeable = u.flags.writeable = False
         return lam, u
 
-    def degrees(self) -> np.ndarray:
-        """Weighted degree of each node."""
-        return np.diag(self._laplacian).copy()
 
-
-def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Weighted Laplacian: degree matrix minus adjacency matrix (the
-    graph's cached, read-only copy)."""
-    return g._laplacian
+def check_gamma(gamma: float) -> None:
+    """Raise unless the step size gamma of P = I - gamma*L is positive and
+    finite; build_perron and every bound, threshold and cutoff that takes
+    gamma check it here."""
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
 def algebraic_connectivity(g: WeightedGraph) -> float:
@@ -189,18 +186,17 @@ def build_perron(g: WeightedGraph, gamma: float) -> PerronMatrix:
     Requires a connected graph and gamma * d_i < 1 for every node i
     (equivalently gamma in (0, 1/d_max)).
     """
-    if not gamma > 0:
-        raise StepSizeTooLarge(f"gamma must be positive, got {gamma}")
+    check_gamma(gamma)
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    degs = g.degrees()
+    degs = np.diag(g.laplacian)
     worst = int(np.argmax(degs))
     if gamma * degs[worst] >= 1.0:
         raise StepSizeTooLarge(
             f"node {worst}: gamma * degree = {gamma * degs[worst]:.6g} >= 1 "
             f"(requires gamma < 1/d_max = {1.0 / degs[worst]:.6g})"
         )
-    p = np.eye(g.n) - gamma * laplacian(g)
+    p = np.eye(g.n) - gamma * g.laplacian
     if not (np.allclose(p, p.T, atol=1e-12)
             and np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
             and np.allclose(p.sum(axis=1), 1.0, atol=1e-12)):

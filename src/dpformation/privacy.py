@@ -117,13 +117,6 @@ def check_radius(b: float) -> None:
             f"adjacency radius b must be positive and finite, got {b}")
 
 
-def check_gamma(gamma: float) -> None:
-    """Raise unless the consensus step size gamma is positive and finite;
-    every bound, threshold and cutoff that takes gamma checks it here."""
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-
-
 @dataclass(frozen=True)
 class PrivacyParams:
     """Per-agent privacy parameters (epsilon, delta, b)."""

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import bounds, privacy
+from . import bounds, graphs, privacy
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def theorem3_thresholds(epsilon: float, delta: float,
     lambda2 > eta1 - sqrt(rad + alpha) and lambda2 < eta2 - sqrt(-rad + alpha)
     literally. Raises on a negative radicand.
     """
-    privacy.check_gamma(gamma)
+    graphs.check_gamma(gamma)
     k = privacy.q_inverse(delta)
     alpha = (epsilon**2 + 1.5 * epsilon * k**2 + 1.0 / gamma**2 + k**4 / 2.0)
     s = math.sqrt(2.0 * epsilon * k**2 + k**4)
@@ -111,7 +111,6 @@ def dominance_quadratic(pt: SensitivityPoint) -> float:
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    point: SensitivityPoint
     d_epsilon: float
     d_lambda2: float
     verdict: str                 # "topology_dominant" | "epsilon_dominant"
@@ -134,7 +133,6 @@ def sensitivity_compare(pt: SensitivityPoint) -> SensitivityReport:
     verdict = "topology_dominant" if dl < de else "epsilon_dominant"
     quad = dominance_quadratic(pt)
     return SensitivityReport(
-        point=pt,
         d_epsilon=de,
         d_lambda2=dl,
         verdict=verdict,

@@ -10,7 +10,7 @@ library's own graph walk.
 import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
 
-from dpformation import NumericalError, laplacian
+from dpformation import NumericalError
 
 EIG_UNIT_TOL = 1e-13
 
@@ -24,7 +24,7 @@ def stationary_distribution(p):
 def bfs_is_connected(g) -> bool:
     """Whether scipy's breadth-first search from node 0 over the Laplacian
     reaches every node."""
-    reached = breadth_first_order(laplacian(g), 0, directed=False,
+    reached = breadth_first_order(g.laplacian, 0, directed=False,
                                   return_predecessors=False)
     return len(reached) == g.n
 

@@ -28,4 +28,4 @@ def random_connected_graph(n: int, rng: np.random.Generator,
 
 def max_degree(g: WeightedGraph) -> float:
     """Largest weighted degree; any gamma below 1/max_degree is valid."""
-    return float(g.degrees().max())
+    return float(np.diag(g.laplacian).max())

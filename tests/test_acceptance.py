@@ -199,7 +199,7 @@ def test_estimator_cross_validation():
 @criterion(7, "5-agent star demo: trial-averaged tail error below the "
               "closed-form bound; noiseless run reaches the formation")
 def test_demo_replication():
-    cfg = demo_config(trials=1000, horizon=100, seed=1)
+    cfg = demo_config()
     p = build_perron(cfg.graph, cfg.gamma)
     bound = theorem1_bound(p, cfg.privacy_params)
 

@@ -350,14 +350,11 @@ class TestBoundReport:
         rep = bound_report(build_perron(g, 0.2), [params] * 5)
         assert rep.lemma7_lower <= rep.exact_ess <= rep.lemma7_upper
         assert rep.lemma7_upper <= rep.theorem1_upper
-        assert rep.corollary1_upper == pytest.approx(rep.theorem1_upper,
-                                                     rel=1e-12)
 
     def test_heterogeneous_report(self):
         g = build_standard_topology("line", 4, 1.0)
         plist = [PrivacyParams(0.3 + 0.1 * i, 0.01, 1.0) for i in range(4)]
         rep = bound_report(build_perron(g, 0.3), plist)
-        assert rep.corollary1_upper is None
         assert rep.lemma7_lower <= rep.exact_ess <= rep.lemma7_upper
         assert rep.exact_ess <= rep.theorem1_upper
 
@@ -365,5 +362,6 @@ class TestBoundReport:
         g = build_standard_topology("star", 5, 1.0)
         params = PrivacyParams(math.log(3), 0.00135, 2.0)
         rep = bound_report(build_perron(g, 0.2), [params] * 5)
-        assert rep.corollary1_upper == pytest.approx(rep.theorem1_upper,
-                                                     rel=1e-12)
+        assert rep.theorem1_upper == corollary1_bound(
+            params.epsilon, algebraic_connectivity(g), n_agents=5,
+            gamma=0.2, b=params.b, delta=params.delta)

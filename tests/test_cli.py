@@ -43,6 +43,8 @@ formation:
 """
 
 BAD_GAMMAS = ["0", "-1", "nan", "inf"]
+# the same values as YAML reads them in a config file
+BAD_CONFIG_GAMMAS = ["0", "-1", ".nan", ".inf"]
 
 
 class TestSimulate:
@@ -89,6 +91,19 @@ class TestSimulate:
                            "--out", str(tmp_path / "o"))
         assert code == 2
         assert "node 0" in err  # the binding constraint is named
+
+    @pytest.mark.parametrize("gamma", BAD_CONFIG_GAMMAS)
+    def test_nonpositive_or_nonfinite_gamma_exits_2(self, tmp_path, capsys,
+                                                    gamma):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(DEMO_CONFIG.replace("gamma: 0.2", f"gamma: {gamma}"))
+        code, text, err = run(capsys, "simulate", "--config", str(cfg),
+                              "--out", str(tmp_path / "o"))
+        assert code == 2
+        got = float(yaml.safe_load(gamma))
+        assert f"gamma must be positive and finite, got {got}" in err
+        assert text == ""
+        assert not (tmp_path / "o").exists()
 
     def test_nan_epsilon_exits_2_without_range_warning(self, tmp_path,
                                                         capsys):
@@ -190,6 +205,63 @@ class TestSimulate:
         assert code == 2
         assert "formation has 4 anchor rows for 5 agents" in err
         assert text == ""
+
+    @pytest.mark.parametrize("anchors,message", [
+        ("[[0, 0], [-20, 20], [20, 20], [20, -20], [-20, .nan]]",
+         "formation anchors must be finite"),
+        ("[[0, 0], [-20, 20], [20, 20], [20, -20], [-20, .inf]]",
+         "formation anchors must be finite"),
+        ("[[], [], [], [], []]", "with n >= 1, got shape (5, 0)"),
+        ("[[[0, 0]], [[-20, 20]], [[20, 20]], [[20, -20]], [[-20, -20]]]",
+         "with n >= 1, got shape (5, 1, 2)")],
+        ids=["nan", "inf", "empty", "3-d"])
+    def test_bad_anchors_exit_2_before_output(self, tmp_path, capsys,
+                                              anchors, message):
+        # NaN and inf used to run, with NaN rows in summary.csv; no columns
+        # and a third axis failed inside numpy, the first after the bounds
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(DEMO_CONFIG.replace(
+            "[[0, 0], [-20, 20], [20, 20], [20, -20], [-20, -20]]", anchors))
+        code, text, err = run(capsys, "simulate", "--config", str(cfg),
+                              "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert message in err
+        assert text == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config,old,new,what", [
+        (DEMO_CONFIG, "gamma: 0.2", "gamma: true", "gamma"),
+        (DEMO_CONFIG, "w: 1.0", "w: yes", "graph w"),
+        (EDGE_LIST_CONFIG, "[2, 3, 0.5]", "[2, 3, on]", "edge weight"),
+        (DEMO_CONFIG, "epsilon: 1.0986122886681098", "epsilon: true",
+         "epsilon"),
+        (DEMO_CONFIG, "delta: 0.00135", "delta: false", "delta"),
+        (DEMO_CONFIG, "b: 2.0", "b: on", "b")],
+        ids=["gamma", "w", "edge-weight", "epsilon", "delta", "b"])
+    def test_boolean_real_exits_2_before_output(self, tmp_path, capsys,
+                                                config, old, new, what):
+        # YAML true, yes and on used to pass float() as 1.0
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(config.replace(old, new))
+        code, text, err = run(capsys, "simulate", "--config", str(cfg),
+                              "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"{what} must be a number, got" in err
+        assert text == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_exponent_without_dot_is_a_number(self, tmp_path, capsys):
+        # PyYAML reads 1e-3 as the string '1e-3'; it must still mean 0.001
+        assert yaml.safe_load("delta: 1e-3") == {"delta": "1e-3"}
+        texts = []
+        for delta in ("1e-3", "0.001"):
+            cfg = tmp_path / "run.yaml"
+            cfg.write_text(DEMO_CONFIG.replace("delta: 0.00135",
+                                               f"delta: {delta}"))
+            code, text, _ = run(capsys, "bounds", "--config", str(cfg))
+            assert code == 0
+            texts.append(text)
+        assert texts[0] == texts[1]
 
     def test_missing_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -454,9 +526,12 @@ class TestBoundsCommand:
         assert "epsilon must be positive and finite" in err
         assert text == ""
 
-    def test_nan_gamma_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "nan.yaml"
-        cfg.write_text(DEMO_CONFIG.replace("gamma: 0.2", "gamma: .nan"))
-        code, _, err = run(capsys, "bounds", "--config", str(cfg))
+    @pytest.mark.parametrize("gamma", BAD_CONFIG_GAMMAS)
+    def test_invalid_gamma_exits_2(self, tmp_path, capsys, gamma):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(DEMO_CONFIG.replace("gamma: 0.2", f"gamma: {gamma}"))
+        code, text, err = run(capsys, "bounds", "--config", str(cfg))
         assert code == 2
-        assert "gamma must be positive, got nan" in err
+        got = float(yaml.safe_load(gamma))
+        assert f"gamma must be positive and finite, got {got}" in err
+        assert text == ""
