@@ -7,6 +7,7 @@ digits). Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -220,7 +221,10 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every main call reuses it."""
     ap = argparse.ArgumentParser(
         prog="dpformation",
         description="Differentially private formation control: simulation, "

@@ -49,6 +49,27 @@ def noise_covariance(p: PerronMatrix, sigmas, noise_model: str) -> np.ndarray:
     raise ValueError(f"unknown noise_model {noise_model!r}")
 
 
+def _k_step_law(p: PerronMatrix, cov: np.ndarray, k: int) -> tuple:
+    """(P^k, S_k) with S_k = sum_{j<k} P^j Q P^jT for Q = cov, so that the
+    state k steps after a fixed start x0 is N(P^k x0, S_k).
+
+    Built by binary doubling from P and Q alone, with no eigendecomposition
+    of P: S_2m = S_m + P^m S_m P^mT doubles a power-of-two piece, and
+    S_(a+b) = S_a + P^a S_b P^aT adds it to the total.
+    """
+    power, total = np.eye(p.n), np.zeros((p.n, p.n))  # P^0, S_0
+    step, part = p.matrix, cov                          # P^1, S_1
+    while k:
+        if k & 1:
+            total = total + power @ part @ power.T
+            power = power @ step
+        k >>= 1
+        if k:
+            part = part + step @ part @ step.T
+            step = step @ step
+    return power, total
+
+
 # numpy's SeedSequence hash constants and pool size
 # (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -210,9 +231,9 @@ class TrialEnsemble:
     """Per-trial error series of a Monte Carlo run; the trial average and
     its standard error are derived from them on first use."""
 
-    # the e_agg_* rows are steps first_step ... horizon of run_trials
+    # the rows are steps burn_in ... horizon of run_trials
     e_agg_trials: np.ndarray    # (rows, trials) per-trial series
-    first_trajectory: np.ndarray  # (horizon+1, N) xbar of trial 0
+    first_trajectory: np.ndarray  # (rows, N) xbar of trial 0
 
     @cached_property
     def e_agg_mean(self) -> np.ndarray:
@@ -232,7 +253,7 @@ class TrialEnsemble:
 def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
                master_seed, xbar0=None, jobs: int = 1,
                noise_model: str = "protocol",
-               first_step: int = 0) -> TrialEnsemble:
+               burn_in: int = 0) -> TrialEnsemble:
     """Simulate independent seeded trials of the private dynamics.
 
     Trial t draws its noise from a generator keyed by (master_seed, t)
@@ -251,9 +272,15 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     noise_model, "protocol" or "network", selects the law of the state
     perturbation z; noise_covariance gives each law's Cov[z].
 
-    The squared-error series, its mean and its standard error cover steps
-    first_step ... horizon only; earlier steps are simulated but not
-    reduced. first_trajectory always covers every step.
+    burn_in = k > 0 starts every trial at step k in place of simulating
+    steps 1 ... k. From the start xbar0 the state x(k) is Gaussian with
+    mean P^k xbar0 and covariance S_k = sum_{j<k} P^j Cov[z] P^j
+    (_k_step_law), so each trial first draws N standard normals xi from
+    its generator, before any noise, and starts at P^k xbar0 + F xi, with
+    F a symmetric square root of S_k. The run then simulates steps
+    k+1 ... horizon. The squared-error series, its mean and standard error,
+    and first_trajectory cover steps k ... horizon. burn_in = 0 draws
+    nothing and starts at xbar0.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -261,19 +288,27 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if not 0 <= first_step <= horizon:
+    if not 0 <= burn_in <= horizon:
         raise ValueError(
-            f"first_step must lie in [0, horizon={horizon}], got {first_step}")
+            f"burn_in must lie in [0, horizon={horizon}], got {burn_in}")
     n = p.n
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
     gain = noise_gain(p)
+    cov = noise_covariance(p, sigmas, noise_model)
     # the scale of each draw: sigma_j for the protocol law, which mixes the
     # scaled draws through the gain, and the network law's z_i directly
-    scale = (sigmas if noise_model == "protocol"
-             else np.sqrt(np.diag(noise_covariance(p, sigmas, noise_model))))
+    scale = sigmas if noise_model == "protocol" else np.sqrt(np.diag(cov))
+    if burn_in:
+        power, start_cov = _k_step_law(p, cov, burn_in)
+        # roundoff leaves the zero eigenvalues of a singular S_k (sigma = 0,
+        # or a protocol law with a rank-deficient gain) slightly negative
+        lam, u = np.linalg.eigh(start_cov)
+        root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T
+        x0 = power @ x0
+    steps = horizon - burn_in
 
-    block = max(1, min(-(-BLOCK_DRAWS // n), horizon))
+    block = max(1, min(-(-BLOCK_DRAWS // n), steps))
     # one scale per draw of a trial's block row
     scale_row = np.tile(scale, block)
 
@@ -289,7 +324,13 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
              else space[1][:size].reshape(block, count, n))
         # x[0] carries the block's start
         x = space[2][:size + count * n].reshape(block + 1, count, n)
-        x[0] = x0
+        if burn_in:
+            for i, g in enumerate(rngs):
+                g.standard_normal(out=x[1, i])
+            np.matmul(x[1], root, out=x[0])  # root is symmetric
+            x[0] += x0
+        else:
+            x[0] = x0
         e_tile = e_agg[:, t_lo:t_hi]
         first = t_lo == 0
 
@@ -315,12 +356,11 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
             _agent_sum(y, out, spare)
             out /= n
 
-        if first_step == 0:
-            mean_square_error(x[:1], e_tile[:1])
+        mean_square_error(x[:1], e_tile[:1])
         if first:
-            traj[0] = x0
-        for k0 in range(0, horizon, block):
-            b = min(block, horizon - k0)
+            traj[0] = x[0, 0]
+        for k0 in range(0, steps, block):
+            b = min(block, steps - k0)
             for i, g in enumerate(rngs):
                 g.standard_normal(out=v[i, :b])
             draws[:, :b * n] *= scale_row[:b * n]
@@ -333,12 +373,7 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
             if first:
                 traj[k0 + 1:k0 + b + 1] = x[1:b + 1, 0]
             x[0] = x[b]
-            # block step j is run step k0 + j; reduce those >= first_step
-            j0 = max(1, first_step - k0)
-            if j0 <= b:
-                mean_square_error(x[j0:b + 1],
-                                  e_tile[k0 + j0 - first_step:
-                                         k0 + b + 1 - first_step])
+            mean_square_error(x[1:b + 1], e_tile[k0 + 1:k0 + b + 1])
 
     # a one-trial tile would take numpy's matrix-vector product, whose
     # rounding differs from a row of a matrix-matrix product, so a last
@@ -364,8 +399,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     # a hole the next run reuses, not a heap top that malloc hands back to
     # the system and the next run faults in again
     spaces = [buffers(share) for share in shares]
-    e_agg = np.empty((horizon + 1 - first_step, trials))
-    traj = np.empty((horizon + 1, n))
+    e_agg = np.empty((steps + 1, trials))
+    traj = np.empty((steps + 1, n))
     if workers == 1:
         run_share(shares[0], spaces[0])
     else:
@@ -414,17 +449,20 @@ def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
     variances), the process whose steady state the Kemeny sandwich and the
     exact oracle on its diagonal covariance characterize.
 
-    Each trial runs k_b + W steps from a zero start (burn_in_and_window)
-    and averages its squared-error series over steps k_b+1 ... k_b+W; the
-    estimate is the mean of these per-trial window means, biased low by at
-    most BURN_IN_TOL * e_ss. Trials are i.i.d., so the half-width is a valid
-    95% normal interval from the spread of the per-trial window means.
+    Each trial starts at step k_b (burn_in_and_window) with a state drawn
+    from the exact law of a run from a zero start (run_trials' burn_in),
+    runs W more steps and averages its squared-error series over steps
+    k_b+1 ... k_b+W; the estimate is the mean of these per-trial window
+    means, biased low by at most BURN_IN_TOL * e_ss. Trials are i.i.d., so
+    the half-width is a valid 95% normal interval from the spread of the
+    per-trial window means.
     """
     burn_in, window = burn_in_and_window(p)
     horizon = burn_in + window
     ens = run_trials(p, sigmas, horizon, trials, master_seed, jobs=jobs,
-                     noise_model="network", first_step=burn_in + 1)
-    trial_means = ens.e_agg_trials.mean(axis=0)
+                     noise_model="network", burn_in=burn_in)
+    # row 0 is the drawn start, step k_b
+    trial_means = ens.e_agg_trials[1:].mean(axis=0)
     value = float(trial_means.mean())
     if trials > 1:
         hw = 1.96 * float(np.std(trial_means, ddof=1)) / math.sqrt(trials)

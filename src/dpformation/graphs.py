@@ -117,12 +117,17 @@ def is_connected(g: WeightedGraph) -> bool:
 _MIN_AGENTS = {"complete": 2, "cycle": 3, "line": 2, "star": 2}
 
 
-def _check_topology_size(kind: str, n: int) -> None:
+def _check_topology(kind: str, n: int, w: float) -> None:
+    """Raise unless kind names a standard topology, n is enough agents for
+    it and its uniform edge weight w is positive and finite;
+    build_standard_topology and topology_lambda2 check their input here."""
     if kind not in _MIN_AGENTS:
         raise ValueError(f"unknown topology kind {kind!r}")
     if n < _MIN_AGENTS[kind]:
         raise ValueError(f"a {kind} topology needs n >= {_MIN_AGENTS[kind]} "
                          f"agents, got {n}")
+    if not (w > 0 and math.isfinite(w)):
+        raise ValueError(f"w must be positive and finite, got {w}")
 
 
 def build_standard_topology(kind: str, n: int, w: float = 1.0) -> WeightedGraph:
@@ -130,9 +135,7 @@ def build_standard_topology(kind: str, n: int, w: float = 1.0) -> WeightedGraph:
 
     For the star, node 0 is the hub.
     """
-    _check_topology_size(kind, n)
-    if w <= 0:
-        raise ValueError("weight must be positive")
+    _check_topology(kind, n, w)
     if kind == "complete":
         edges = [(i, j, w) for i in range(n) for j in range(i + 1, n)]
     elif kind == "cycle":
@@ -146,7 +149,7 @@ def build_standard_topology(kind: str, n: int, w: float = 1.0) -> WeightedGraph:
 
 def topology_lambda2(kind: str, n: int, w: float = 1.0) -> float:
     """Closed-form algebraic connectivity of the named uniform topologies."""
-    _check_topology_size(kind, n)
+    _check_topology(kind, n, w)
     if kind == "complete":
         return w * n
     if kind == "cycle":

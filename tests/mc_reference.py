@@ -4,8 +4,10 @@ dynamics.run_trials works through the horizon in time blocks from
 persistent per-trial generators. whole_tensor_run_trials is the same
 computation written the direct way: draw each trial's whole (horizon, N)
 noise at once, mix the full (horizon, trials, N) tensor, and reduce one
-step at a time. It needs 2 * 8 * horizon * trials * N bytes, so it lives
-next to the tests, not in the library.
+step at a time. With a burn-in k it draws each trial's start
+P^k xbar0 + F xi from N standard normals before the noise, as run_trials
+does. It needs 2 * 8 * horizon * trials * N bytes, so it lives next to
+the tests, not in the library.
 
 trial_rng seeds one trial through numpy's own SeedSequence, the keying
 that dynamics.trial_rngs reproduces with batched uint32 arithmetic.
@@ -13,10 +15,22 @@ that dynamics.trial_rngs reproduces with batched uint32 arithmetic.
 window_mean_variance is the exact second moment of what estimate_ess
 averages, so the tests can check the spread of the simulated noise and not
 only its mean.
+
+check_interval_coverage checks estimate_ess's 95% interval against the
+exact e_ss over many seeds, so that it fails by chance at a known rate.
 """
+import math
+
 import numpy as np
 
-from dpformation.dynamics import TILE_TRIALS, TrialEnsemble, noise_gain
+from dpformation.dynamics import (
+    TILE_TRIALS,
+    TrialEnsemble,
+    _k_step_law,
+    estimate_ess,
+    noise_covariance,
+    noise_gain,
+)
 
 
 def trial_rng(master_seed, trial: int) -> np.random.Generator:
@@ -32,7 +46,8 @@ def trial_rng(master_seed, trial: int) -> np.random.Generator:
 
 def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
                             master_seed, xbar0=None,
-                            noise_model: str = "protocol") -> TrialEnsemble:
+                            noise_model: str = "protocol",
+                            burn_in: int = 0) -> TrialEnsemble:
     """run_trials with the noise of every step materialized up front,
     on run_trials' tiles, one after the other."""
     n = p.n
@@ -41,25 +56,36 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
     gain = noise_gain(p)
     # the network law: independent z_i of variance sum_j G_ij^2 sigma_j^2
     z_scale = np.sqrt(gain**2 @ sigmas**2)
+    if burn_in:
+        # x(k) ~ N(P^k xbar0, S_k); root is S_k's symmetric square root
+        power, cov = _k_step_law(
+            p, noise_covariance(p, sigmas, noise_model), burn_in)
+        lam, u = np.linalg.eigh(cov)
+        root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T
+        x0 = power @ x0
+    steps = horizon - burn_in
 
     def run_tile(t_lo, t_hi):
         count = t_hi - t_lo
-        v = np.empty((horizon, count, n))
+        xi = np.empty((count, n))
+        v = np.empty((steps, count, n))
         for t in range(t_lo, t_hi):
-            v[:, t - t_lo, :] = trial_rng(master_seed, t).standard_normal(
-                (horizon, n))
+            rng = trial_rng(master_seed, t)
+            if burn_in:
+                xi[t - t_lo] = rng.standard_normal(n)
+            v[:, t - t_lo, :] = rng.standard_normal((steps, n))
         if noise_model == "protocol":
             z = (v * sigmas) @ gain  # gain is symmetric
         else:
             z = v * z_scale
-        x = np.tile(x0, (count, 1))
-        e_agg = np.empty((horizon + 1, count))
-        traj = np.empty((horizon + 1, n)) if t_lo == 0 else None
+        x = xi @ root + x0 if burn_in else np.tile(x0, (count, 1))
+        e_agg = np.empty((steps + 1, count))
+        traj = np.empty((steps + 1, n)) if t_lo == 0 else None
         dev = x - x.mean(axis=1, keepdims=True)
         e_agg[0] = np.mean(dev**2, axis=1)
         if traj is not None:
             traj[0] = x[0]
-        for k in range(horizon):
+        for k in range(steps):
             x = x @ p.matrix + z[k]  # P is symmetric
             dev = x - x.mean(axis=1, keepdims=True)
             e_agg[k + 1] = np.mean(dev**2, axis=1)
@@ -98,3 +124,36 @@ def window_mean_variance(p, cov, window: int) -> float:
         axis=1)
     n = p.n
     return float(2.0 / (n * n * window * window) * np.sum(s**2 * lag_sum))
+
+
+# check_interval_coverage: master seeds 0 ... COVERAGE_SEEDS - 1, at most
+# MAX_MISSES intervals that miss, and a pooled |z| of at most MAX_POOLED_Z
+COVERAGE_SEEDS = 40
+MAX_MISSES = 8
+MAX_POOLED_Z = 3.5
+
+
+def check_interval_coverage(p, sigmas, exact: float, trials: int) -> None:
+    """Assert that estimate_ess's 95% intervals cover the exact e_ss on
+    master seeds 0 ... 39, allowing the misses of a Bin(40, 0.05) count,
+    and that the mean of the 40 estimates lies within 3.5 of its pooled
+    standard errors of the exact value. The pooled standard error is that
+    of 40 * trials trials, so at trials = 2000 the check resolves a bias of
+    3.5 / sqrt(4) = 1.75 standard errors of one 20 000-trial run, finer
+    than that run's own 95% interval. A correct estimator fails it with
+    probability at most 1e-3, computed here."""
+    # by the union bound, the chance that an estimator whose intervals each
+    # cover with probability 0.95 and whose pooled z is standard normal
+    # fails: P(Bin(40, 0.05) > 8) + P(|Z| > 3.5) = 1.3e-4 + 4.7e-4
+    rate = sum(math.comb(COVERAGE_SEEDS, k) * 0.05**k
+               * 0.95**(COVERAGE_SEEDS - k)
+               for k in range(MAX_MISSES + 1, COVERAGE_SEEDS + 1))
+    rate += math.erfc(MAX_POOLED_Z / math.sqrt(2.0))
+    assert rate <= 1e-3, rate
+    ests = [estimate_ess(p, sigmas, trials=trials, master_seed=seed)
+            for seed in range(COVERAGE_SEEDS)]
+    misses = sum(abs(e.value - exact) > e.half_width for e in ests)
+    pooled_se = math.sqrt(sum((e.half_width / 1.96) ** 2 for e in ests))
+    pooled_z = sum(e.value - exact for e in ests) / pooled_se
+    assert misses <= MAX_MISSES, misses
+    assert abs(pooled_z) <= MAX_POOLED_Z, pooled_z

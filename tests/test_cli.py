@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from dpformation import corollary1_bound
-from dpformation.cli import main
+from dpformation.cli import build_parser, main
 from dpformation.privacy import PrivacyRangeWarning
 
 
@@ -369,6 +369,17 @@ class TestDesign:
         assert f"e_r must be positive and finite, got {float(e_r)}" in err
         assert text == ""
 
+    @pytest.mark.parametrize("w", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("table1", [[], ["--table1"]],
+                             ids=["single", "table1"])
+    def test_invalid_weight_exits_2(self, capsys, w, table1):
+        # the weight used to pass unchecked into lambda2 and fail there as
+        # "lambda2 must lie in (0, 2/gamma)"
+        code, text, err = run(capsys, "design", "--w", w, *table1)
+        assert code == 2
+        assert f"w must be positive and finite, got {float(w)}" in err
+        assert text == ""
+
     @pytest.mark.parametrize("n, kind", [
         (n, kind) for n in ("0", "1")
         for kind in ("complete", "cycle", "line", "star")] + [("2", "cycle")])
@@ -535,3 +546,36 @@ class TestBoundsCommand:
         got = float(yaml.safe_load(gamma))
         assert f"gamma must be positive and finite, got {got}" in err
         assert text == ""
+
+
+class TestRepeatedMain:
+    def test_repeated_calls_match_the_first(self, tmp_path, capsys):
+        # main reuses one parser per process; every later call of a
+        # command, a validation error or a parse error prints what the
+        # first did and exits with the same code
+        commands = [
+            ["design", "--table1"],
+            ["design", "--kind", "line", "--n", "12", "--w", "0.5"],
+            ["sensitivity", "--epsilon", "0.5", "--lambda2", "2"],
+            ["sweep", "--eps-steps", "3", "--lam2-steps", "2",
+             "--out", str(tmp_path)],
+            ["bounds"],
+            ["design", "--w", "nan"],
+            ["design", "--n", "ten"],
+            ["sensitivity", "--epsilon", "0.5"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own exit
+                code = ("exit", exc.code)
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        assert build_parser() is build_parser()
+        first = [outcome(argv) for argv in commands]
+        assert [r[0] for r in first] == [0, 0, 0, 0, 0, 2, ("exit", 2),
+                                         ("exit", 2)]
+        for _ in range(2):
+            assert [outcome(argv) for argv in commands] == first

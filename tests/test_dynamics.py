@@ -21,7 +21,11 @@ from dpformation.dynamics import (
     trial_rngs,
 )
 from graph_reference import max_degree, random_connected_graph
-from mc_reference import whole_tensor_run_trials, window_mean_variance
+from mc_reference import (
+    check_interval_coverage,
+    whole_tensor_run_trials,
+    window_mean_variance,
+)
 from step_reference import (
     beta,
     error_series,
@@ -220,11 +224,65 @@ class TestRunTrials:
         assert np.array_equal(split.e_agg_trials, one.e_agg_trials)
         assert np.array_equal(split.first_trajectory, one.first_trajectory)
 
-    @pytest.mark.parametrize("first_step", [-1, 6])
-    def test_rejects_first_step_outside_horizon(self, star5, first_step):
+    @pytest.mark.parametrize("burn_in", [-1, 6])
+    def test_rejects_burn_in_outside_horizon(self, star5, burn_in):
         _, p = star5
-        with pytest.raises(ValueError, match="first_step"):
-            run_trials(p, 1.0, 5, 3, 0, first_step=first_step)
+        with pytest.raises(ValueError, match="burn_in must lie in"):
+            run_trials(p, 1.0, 5, 3, 0, burn_in=burn_in)
+
+    @pytest.mark.parametrize("noise_model", ["protocol", "network"])
+    def test_burn_in_start_has_the_simulated_law(self, star5, noise_model):
+        # the drawn start of burn_in = k and step k of a run from the same
+        # xbar0 have the same expected squared error,
+        # |Pi P^k x0|^2 / N + tr(Pi S_k) / N with Pi = I - 11^T / N, where
+        # S_k comes from the recursion S <- Q + P S P
+        _, p = star5
+        sigmas = np.array([1.0, 2.0, 0.5, 1.5, 3.0])
+        x0 = np.array([1.0, -2.0, 0.0, 4.0, -3.0])
+        k, trials = 3, 20000
+        q = noise_covariance(p, sigmas, noise_model)
+        s, mean = np.zeros((5, 5)), x0
+        for _ in range(k):
+            s, mean = q + p.matrix @ s @ p.matrix, p.matrix @ mean
+        pi = np.eye(5) - np.full((5, 5), 0.2)
+        want = (np.sum((pi @ mean) ** 2) + np.trace(pi @ s)) / 5
+        drawn = run_trials(p, sigmas, k, trials, 3, xbar0=x0,
+                           noise_model=noise_model, burn_in=k)
+        simulated = run_trials(p, sigmas, k, trials, 4, xbar0=x0,
+                               noise_model=noise_model)
+        assert drawn.e_agg_trials.shape == (1, trials)
+        for ens, row in ((drawn, 0), (simulated, k)):
+            z = (ens.e_agg_mean[row] - want) / ens.e_agg_sem[row]
+            assert abs(z) <= 4.0, (row, z)
+
+    @pytest.mark.parametrize("noise_model", ["protocol", "network"])
+    def test_zero_noise_burn_in_starts_at_the_noiseless_state(
+            self, star5, noise_model):
+        # S_k = 0: every trial starts at P^k xbar0 and follows it
+        _, p = star5
+        x0 = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
+        ens = run_trials(p, 0.0, 12, 3, 0, xbar0=x0,
+                         noise_model=noise_model, burn_in=5)
+        want = [x0]
+        for _ in range(12):
+            want.append(p.matrix @ want[-1])
+        assert ens.first_trajectory.shape == (8, 5)
+        assert np.allclose(ens.first_trajectory, want[5:], rtol=0,
+                           atol=1e-12)
+        assert np.all(ens.e_agg_trials == ens.e_agg_trials[:, :1])
+
+    def test_singular_protocol_start_stays_in_its_support(self, star5):
+        # the star's protocol noise z = G v = gamma * (sum of the leaves'
+        # v, v_hub, v_hub, v_hub, v_hub) gives every leaf the same value,
+        # so S_1 = Cov[z] has rank 2, and the drawn start must too. The
+        # zero eigenvalues come out of eigh as +-1e-16 * |S_1|; the negative
+        # ones are clipped, and the square roots of the positive ones, about
+        # 1e-8, bound how far the leaves of the start may differ
+        _, p = star5
+        ens = run_trials(p, 2.0, 4, 50, 0, burn_in=1)
+        start = ens.first_trajectory[0]
+        assert np.all(np.isfinite(ens.e_agg_trials))
+        assert np.ptp(start[1:]) <= 1e-6 * np.abs(start).max()
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_zero_horizon_is_the_initial_row(self, star5, jobs):
@@ -248,9 +306,8 @@ class TestRunTrials:
 
 class TestStreamingMatchesWholeTensor:
     """The time-blocked kernel against the whole-tensor reference, bit for
-    bit, at horizons around the block boundaries, with the error series
-    reduced from step 0, step 1, the first block boundary and the last
-    step."""
+    bit, at horizons around the block boundaries, with no burn-in and with
+    the start drawn at step 1, at the middle step and at the last step."""
 
     # numpy's pairwise order below 8 agents, at 8, 8 plus a remainder, the
     # accumulating loop and the split above 128
@@ -280,18 +337,15 @@ class TestStreamingMatchesWholeTensor:
         p = build_perron(g, 0.5 / max_degree(g))
         sigmas = np.linspace(0.5, 2.0, n)
         xbar0 = np.linspace(-3.0, 5.0, n)
-        block = -(-BLOCK_DRAWS // n)
         args = (p, sigmas, h, trials, (11, n))
-        kw = dict(xbar0=xbar0, noise_model=noise_model)
-        want = whole_tensor_run_trials(*args, **kw)
-        for first_step in (0, 1, min(block, h), h):
-            got = run_trials(*args, first_step=first_step, jobs=jobs, **kw)
-            for field in ("e_agg_trials", "e_agg_mean", "e_agg_sem"):
+        for burn_in in sorted({0, 1, h // 2, h}):
+            kw = dict(xbar0=xbar0, noise_model=noise_model, burn_in=burn_in)
+            want = whole_tensor_run_trials(*args, **kw)
+            got = run_trials(*args, jobs=jobs, **kw)
+            for field in ("e_agg_trials", "e_agg_mean", "e_agg_sem",
+                          "first_trajectory"):
                 assert np.array_equal(getattr(got, field),
-                                      getattr(want, field)[first_step:]), \
-                    (first_step, field)
-            assert np.array_equal(got.first_trajectory,
-                                  want.first_trajectory), first_step
+                                      getattr(want, field)), (burn_in, field)
 
 
 class TestRunTrialsMemory:
@@ -382,8 +436,7 @@ class TestBurnInAndWindow:
     def test_near_periodic_cycle_interval_covers_oracle(self):
         p = build_perron(build_standard_topology("cycle", 4, 1.0), 0.49)
         exact = exact_ess_oracle(p, noise_covariance(p, 1.0, "network"))
-        est = estimate_ess(p, 1.0, trials=20000, master_seed=0)
-        assert abs(est.value - exact) <= est.half_width
+        check_interval_coverage(p, 1.0, exact, trials=2000)
 
     def test_zero_rho_needs_no_burn_in(self):
         # K2 at gamma = 0.5: P = [[.5, .5], [.5, .5]] mixes in one step
@@ -409,8 +462,8 @@ class TestEstimateEss:
         burn_in, window = burn_in_and_window(p)
         est = estimate_ess(p, 1.0, trials=200, master_seed=1)
         ens = run_trials(p, 1.0, burn_in + window, 200, 1,
-                         noise_model="network")
-        tail = ens.e_agg_trials[burn_in + 1:]  # steps k_b+1 ... k_b+W
+                         noise_model="network", burn_in=burn_in)
+        tail = ens.e_agg_trials[1:]  # steps k_b+1 ... k_b+W
         assert len(tail) == window
         per_trial = tail.mean(axis=0)
         assert est.horizon == burn_in + window

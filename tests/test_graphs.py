@@ -87,6 +87,14 @@ class TestTopologies:
         with pytest.raises(ValueError, match=f"n >= {least}"):
             topology_lambda2(kind, n)
 
+    @pytest.mark.parametrize("w", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("build", [build_standard_topology,
+                                       topology_lambda2])
+    def test_invalid_weight_rejected(self, build, w):
+        with pytest.raises(ValueError,
+                           match=f"w must be positive and finite, got {w}"):
+            build("cycle", 5, w)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             build_standard_topology("wheel", 5)

@@ -1,5 +1,5 @@
-"""Property tests for the spectral core, the Monte Carlo plan, its trial
-seeding, tiling and agent sums, and the design path.
+"""Property tests for the spectral core, the Monte Carlo plan, its drawn
+start, trial seeding, tiling and agent sums, and the design path.
 
 Graphs come from graph_reference.random_connected_graph (weights in (0.1, 1]), with step
 size gamma in [0.05, 0.5] / d_max and heterogeneous per-agent privacy; the
@@ -24,7 +24,7 @@ from dpformation import (
     theorem1_bound,
     trial_rngs,
 )
-from dpformation.dynamics import TILE_TRIALS, _agent_sum
+from dpformation.dynamics import TILE_TRIALS, _agent_sum, _k_step_law
 from graph_reference import max_degree, random_connected_graph
 from lyapunov_reference import iterative_ess_oracle
 from mc_reference import trial_rng
@@ -106,6 +106,22 @@ def test_threshold_bound_round_trip(log_e_r, n, log_delta, b, gamma, frac):
     assert abs(corollary1_bound(eps, lam2, **kw) - e_r) <= 1e-12 * e_r
 
 
+@SETTINGS
+@given(configs(), st.integers(0, 1000))
+def test_doubled_start_law_matches_the_recursion(cfg, k):
+    # P^k and S_k = sum_{j<k} P^j Q P^j by binary doubling against k steps
+    # of S <- Q + P S P, for both laws
+    _, p, _, sigmas = cfg
+    for model in ("network", "protocol"):
+        q = noise_covariance(p, sigmas, model)
+        power, s = np.eye(p.n), np.zeros((p.n, p.n))
+        for _ in range(k):
+            power, s = p.matrix @ power, q + p.matrix @ s @ p.matrix
+        got_power, got_s = _k_step_law(p, q, k)
+        assert np.abs(got_power - power).max() <= 1e-12 * np.abs(power).max()
+        assert np.abs(got_s - s).max() <= 1e-12 * np.abs(s).max(), model
+
+
 SEED_ENTRIES = st.integers(0, 2**70 - 1)
 
 
@@ -130,12 +146,16 @@ def test_batched_trial_seeding_matches_seed_sequence(master_seed, t_lo,
 
 @st.composite
 def trial_plans(draw):
-    """(trials, horizon): up to 40 trials in one tile over up to 150
-    steps, or two to three tiles over up to 12 steps."""
+    """(trials, horizon, burn_in): up to 40 trials in one tile over up to
+    150 steps, or two to three tiles over up to 12 steps, with the start
+    drawn at a step up to the horizon half of the time."""
     if draw(st.booleans()):
-        return draw(st.integers(1, 40)), draw(st.integers(0, 150))
-    return (draw(st.integers(TILE_TRIALS + 2, 3 * TILE_TRIALS)),
-            draw(st.integers(0, 12)))
+        trials, horizon = draw(st.integers(1, 40)), draw(st.integers(0, 150))
+    else:
+        trials = draw(st.integers(TILE_TRIALS + 2, 3 * TILE_TRIALS))
+        horizon = draw(st.integers(0, 12))
+    burn_in = draw(st.integers(0, horizon)) if draw(st.booleans()) else 0
+    return trials, horizon, burn_in
 
 
 @SETTINGS
@@ -148,11 +168,12 @@ def test_every_jobs_gives_the_same_bits(cfg, plan, jobs):
     # whatever the thread count, also at N = 17 and 130, where OpenBLAS
     # rounds a row differently for different row counts
     _, p, _, sigmas = cfg
-    trials, horizon = plan
+    trials, horizon, burn_in = plan
     args = (p, sigmas, horizon, trials, 17)
     for model in ("protocol", "network"):
-        one = run_trials(*args, noise_model=model)
-        split = run_trials(*args, jobs=jobs, noise_model=model)
+        one = run_trials(*args, noise_model=model, burn_in=burn_in)
+        split = run_trials(*args, jobs=jobs, noise_model=model,
+                           burn_in=burn_in)
         assert np.array_equal(split.e_agg_trials, one.e_agg_trials), model
         assert np.array_equal(split.first_trajectory,
                               one.first_trajectory), model
