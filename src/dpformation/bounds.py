@@ -64,8 +64,10 @@ def _prefactor(n_agents: int, gamma: float, lambda2):
         raise ValueError(f"need at least 2 agents, got {n_agents}")
     graphs.check_gamma(gamma)
     lam2 = np.asarray(lambda2, dtype=float)
-    if not np.all((lam2 > 0) & (lam2 < 2.0 / gamma)):
-        raise ValueError("lambda2 must lie in (0, 2/gamma)")
+    ok = (lam2 > 0) & (lam2 < 2.0 / gamma)
+    if not np.all(ok):
+        raise ValueError(f"lambda2 must lie in (0, 2/gamma) = "
+                         f"(0, {2.0 / gamma}), got {lam2[~ok].flat[0]}")
     return (gamma * (n_agents - 1) ** 2
             / (n_agents * lam2 * (2.0 - gamma * lam2)))
 

@@ -33,24 +33,40 @@ def _unquoted(cells, one_field: bool):
     return cells
 
 
+# numeric columns reach orjson in these native-order dtypes: orjson reads a
+# byte-swapped array's bytes as native numbers, and a float32 cell must
+# read as repr of its double, as tolist() gives it
+_WIDE = {"i": np.int64, "u": np.uint64, "f": np.float64}
+
+
 def _column_text(c: np.ndarray, one_field: bool) -> list:
-    """str of each cell, formatting each distinct value once. Floats are
-    told apart by bit pattern, so 0.0 and -0.0 stay distinct."""
-    if c.dtype.kind not in "biufU":
+    """str of each cell. Numbers go through one orjson call, whose shortest
+    round-trip digits equal repr's wherever repr writes a float
+    positionally; the rest (nan, inf, |x| < 1e-4 and |x| >= 1e16 but not
+    zero) are overwritten with repr."""
+    kind = c.dtype.kind
+    if kind not in "biufU":
         raise TypeError(f"unsupported CSV column dtype {c.dtype}")
-    key = c.view(f"i{c.itemsize}") if c.dtype.kind == "f" else c
-    uniq, inv = np.unique(key, return_inverse=True)
-    text = list(map(str, uniq.view(c.dtype).tolist()))
-    if c.dtype.kind == "U":
-        _unquoted(text, one_field)
-    return np.array(text, dtype=object)[inv].tolist()
+    if kind in "bU":
+        text = list(map(str, c.tolist()))
+        return _unquoted(text, one_field) if kind == "U" else text
+    import orjson  # not at the top: most commands write no CSV
+    c = np.ascontiguousarray(c, dtype=_WIDE[kind])
+    text = (orjson.dumps(c, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+            .decode().split(","))
+    if kind == "f":
+        a = np.abs(c)
+        odd = np.flatnonzero(~((a >= 1e-4) & (a < 1e16) | (c == 0)))
+        for i, x in zip(odd.tolist(), c[odd].tolist()):
+            text[i] = repr(x)
+    return text
 
 
 def _write_csv(path, header, columns) -> None:
     """One row per index of the equal-length 1-D columns, in the bytes
     csv.writer writes: str of each cell (floats round-trip exactly), comma
     separated, CRLF line ends. Rows go out in chunks of CSV_CHUNK_ROWS, and
-    within a chunk each distinct value of a column is formatted once. No
+    each numeric column of a chunk is formatted in one orjson call. No
     cell is ever quoted: a str cell that csv.writer would quote raises
     ValueError."""
     cols = [np.asarray(c) for c in columns]

@@ -10,7 +10,6 @@ The deviation from the moving consensus target is e(k) = xbar - mean(xbar).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -404,6 +403,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     if workers == 1:
         run_share(shares[0], spaces[0])
     else:
+        # imported here: it loads logging, and one worker needs neither
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_share, shares, spaces))
     return TrialEnsemble(e_agg, traj)

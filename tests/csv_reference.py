@@ -1,8 +1,10 @@
 """csv.writer cross-check for the CLI's CSV writer.
 
-cli._write_csv formats each distinct value of a column once and joins the
-rows itself. This is the same output written the direct way, one cell at a
-time through csv.writer, so it lives next to the tests, not in the library.
+cli._write_csv formats whole numeric columns through orjson, falls back to
+repr for the floats that repr writes in exponent form or as nan/inf, and
+joins the rows itself. This is the same output written the direct way, one
+cell at a time through csv.writer, so it lives next to the tests, not in
+the library.
 """
 import csv
 

@@ -490,6 +490,24 @@ class TestSensitivityCommand:
         assert text == ""
 
 
+@pytest.mark.parametrize("argv, limit, value", [
+    (["design", "--kind", "complete", "--n", "100000000"], 20000.0, 1e8),
+    (["sensitivity", "--epsilon", "0.5", "--lambda2", "nan"], 20.0, "nan"),
+    (["sweep", "--lam2-min", "nan"], 100.0, "nan"),
+    (["sweep", "--lam2-max", "200"], 100.0, 102.53061224489797),
+], ids=["design", "sensitivity", "sweep-nan", "sweep-max"])
+def test_lambda2_error_names_value_and_limit(tmp_path, capsys, argv, limit,
+                                             value):
+    # the message used to be "lambda2 must lie in (0, 2/gamma)" alone;
+    # the design lambda2 is N*w = 1e8, and the sweep's first bad one the
+    # first point of linspace(1, 200, 50) at or above 2/gamma = 100
+    out = ["--out", str(tmp_path)] if argv[0] == "sweep" else []
+    code, text, err = run(capsys, *argv, *out)
+    assert code == 2
+    assert f"(0, 2/gamma) = (0, {limit}), got {float(value)}" in err
+    assert text == ""
+    assert not (tmp_path / "surface.csv").exists()
+
 class TestBoundsCommand:
     def test_demo_report(self, capsys):
         code, text, _ = run(capsys, "bounds")

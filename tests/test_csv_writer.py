@@ -74,6 +74,69 @@ class TestMatchesCsvWriter:
                           [x, x[::-1]])
 
 
+def both_signs(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([x, -x])
+
+
+class TestShortestReprFormatter:
+    """Numbers go through orjson, and floats outside [1e-4, 1e16) through
+    repr: the two must meet without a seam."""
+
+    @SETTINGS
+    @given(exps=st.lists(st.floats(-4.0, 16.0, exclude_max=True),
+                         min_size=1, max_size=2 * CHUNK + 3),
+           signs=st.lists(st.booleans(), min_size=1))
+    def test_log_uniform_positional_range(self, tmp_path_factory, exps,
+                                          signs):
+        x = np.minimum(10.0 ** np.array(exps), np.nextafter(1e16, 0))
+        x[np.resize(signs, len(x))] *= -1
+        assert_same_bytes(tmp_path_factory.mktemp("log"), ["x", "y"],
+                          [x, x[::-1]])
+
+    def test_both_sides_of_the_range_ends(self, tmp_path):
+        ends = np.array([1e-4, 1e16])
+        x = both_signs([*np.nextafter(ends, 0), *ends,
+                        *np.nextafter(ends, np.inf)])
+        assert_same_bytes(tmp_path, ["x"], [x])
+        text = (tmp_path / "new.csv").read_text().splitlines()[1:]
+        assert text[:6] == ["9.999999999999999e-05", "9999999999999998.0",
+                            "0.0001", "1e+16", "0.00010000000000000002",
+                            "1.0000000000000002e+16"]
+
+    def test_powers_of_two_and_their_neighbours(self, tmp_path):
+        p = 2.0 ** np.arange(-13, 54)
+        x = both_signs([*p, *np.nextafter(p, 0), *np.nextafter(p, np.inf)])
+        assert_same_bytes(tmp_path, ["x", "y"], [x, x[::-1]])
+
+    def test_integral_floats(self, tmp_path):
+        rng = np.random.default_rng(53)
+        x = both_signs([*range(2000), *10.0 ** np.arange(16),
+                        2.0 ** 53 - 1, 2.0 ** 53,
+                        *rng.integers(0, 2 ** 53, 2000).astype(float)])
+        assert_same_bytes(tmp_path, ["x"], [x])
+
+    def test_sum_with_a_long_repr(self, tmp_path):
+        assert_same_bytes(tmp_path, ["x"], [[0.1 + 0.2]])
+        assert (tmp_path / "new.csv").read_text() == "x\n0.30000000000000004\n"
+
+    def test_float32_and_integer_columns(self, tmp_path):
+        rng = np.random.default_rng(32)
+        rows = 3000
+        f32 = (10.0 ** rng.uniform(-6, 18, rows)).astype(np.float32)
+        i32 = rng.integers(-2**31, 2**31, rows, dtype=np.int32)
+        u64 = np.uint64(2**63) + rng.integers(0, 2**63, rows, np.uint64)
+        f32[:7] = [0.1, -0.0, np.nan, np.inf, 1e-5, 3e38, 1.5]
+        i32[:2], u64[:2] = [-2**31, 2**31 - 1], [2**63, 2**64 - 1]
+        assert_same_bytes(tmp_path, ["f32", "i32", "u64"], [f32, i32, u64])
+
+    def test_byte_swapped_columns(self, tmp_path):
+        # orjson reads a big-endian array's bytes as native-order numbers
+        x = np.array([0.5, -3.25, 1e-7, 12345.678], dtype=">f8")
+        assert_same_bytes(tmp_path, ["x", "n"],
+                          [x, np.array([1, -2, 3, 2**40], dtype=">i8")])
+
+
 class TestRejects:
     @pytest.mark.parametrize("cell", ["a,b", 'a"b', "a\rb", "a\nb"])
     def test_cell_that_needs_quoting(self, tmp_path, cell):

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import dpformation
 
 SRC = pathlib.Path(dpformation.__file__).parent
@@ -19,12 +21,15 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test dependency only: its special and sparse.csgraph
-    # submodules took most of each command's start-up while the library
-    # imported them
+@pytest.mark.parametrize("module", ["scipy", "orjson", "concurrent.futures"])
+def test_cli_import_does_not_load(module):
+    # start-up of every command pays for what `import dpformation.cli`
+    # loads. scipy is a test dependency only: its special and
+    # sparse.csgraph submodules took most of each command's start-up while
+    # the library imported them. orjson is needed only to write a CSV, and
+    # concurrent.futures (which loads logging) only for worker threads.
     code = ("import sys, dpformation.cli; print(sorted(m for m in sys.modules"
-            " if m == 'scipy' or m.startswith('scipy.')))")
+            f" if m == {module!r} or m.startswith({module + '.'!r})))")
     path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
