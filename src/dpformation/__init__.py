@@ -22,7 +22,7 @@ from .privacy import (
 from .dynamics import (
     EssEstimate,
     TrialEnsemble,
-    burn_in_and_window,
+    averaging_window,
     estimate_ess,
     noise_covariance,
     noise_gain,

@@ -142,16 +142,13 @@ def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
                 / (n**2 * e_r * w * (2.0 - gamma * w * n))) * (
             b + e_r * k * w * n * math.sqrt(2.0 - gamma * w * n)
             / ((n - 1) * math.sqrt(e_r * gamma * w)))
-    if kind == "cycle":
-        c = 1.0 - math.cos(2.0 * math.pi / n)
-        z2 = (n - 1) ** 2 * gamma / (1.0 - gamma * w * c)
-        return (b * z2 / (n * e_r * 2.0 * w * c)
-                + k / math.sqrt(z2 * e_r * w * c * n))
-    if kind == "line":
-        c = 1.0 - math.cos(math.pi / n)
-        z3 = (n - 1) ** 2 * gamma / (1.0 - gamma * w * c)
-        return (b * z3 / (n * e_r * 2.0 * w * c)
-                + k / math.sqrt(z3 * e_r * w * c * n))
+    if kind in ("cycle", "line"):
+        # lambda2 = 2 w c: c = 1 - cos(2 pi / n) for the cycle and
+        # 1 - cos(pi / n) for the line; the paper's z2 and z3
+        c = 1.0 - math.cos((2.0 if kind == "cycle" else 1.0) * math.pi / n)
+        z = (n - 1) ** 2 * gamma / (1.0 - gamma * w * c)
+        return (b * z / (n * e_r * 2.0 * w * c)
+                + k / math.sqrt(z * e_r * w * c * n))
     if kind == "star":
         return (2.0 * b * gamma * (n - 1) ** 2
                 / (n * e_r * w * (2.0 - gamma * w))) * (

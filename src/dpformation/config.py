@@ -99,13 +99,24 @@ def _real(value, what: str) -> float:
     raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
+def _reals(value, what: str):
+    """value with _real applied to every entry of its nested lists."""
+    if isinstance(value, list):
+        return [_reals(v, what) for v in value]
+    return _real(value, what)
+
+
 def parse_graph(spec: dict) -> WeightedGraph:
+    """A named topology (kind, n, w) or an edge list (nodes, edges); a
+    key of the other form is refused, not ignored."""
     _check_keys(spec, ("kind", "n", "w", "nodes", "edges"), "graph")
     if "kind" in spec:
+        _check_keys(spec, ("kind", "n", "w"), "a graph with 'kind'")
         return graphs.build_standard_topology(
             spec["kind"], _integer(spec["n"], "graph n"),
             _real(spec.get("w", 1.0), "graph w"))
     if "nodes" in spec:
+        _check_keys(spec, ("nodes", "edges"), "a graph with 'nodes'")
         edges = tuple((_integer(i, "edge endpoint") - 1,
                        _integer(j, "edge endpoint") - 1,
                        _real(w, "edge weight"))
@@ -141,7 +152,8 @@ def from_mapping(data: dict) -> RunConfig:
             trials=_integer(data.get("trials", 1000), "trials"),
             master_seed=_integer(data.get("seed", 0), "seed"),
             privacy_params=parse_privacy(data["privacy"], g.n),
-            anchors=data["formation"]["anchors"],
+            anchors=_reals(data["formation"]["anchors"],
+                           "formation anchor"),
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None

@@ -48,25 +48,21 @@ def noise_covariance(p: PerronMatrix, sigmas, noise_model: str) -> np.ndarray:
     raise ValueError(f"unknown noise_model {noise_model!r}")
 
 
-def _k_step_law(p: PerronMatrix, cov: np.ndarray, k: int) -> tuple:
-    """(P^k, S_k) with S_k = sum_{j<k} P^j Q P^jT for Q = cov, so that the
-    state k steps after a fixed start x0 is N(P^k x0, S_k).
+def _stationary_covariance(p: PerronMatrix, cov: np.ndarray) -> np.ndarray:
+    """Stationary covariance S of the deviation from the network mean of
+    xbar(k+1) = P xbar(k) + z(k) with Cov[z] = cov, the solution of
+    S = P S P + Pi cov Pi with Pi = I - 11^T / N.
 
-    Built by binary doubling from P and Q alone, with no eigendecomposition
-    of P: S_2m = S_m + P^m S_m P^mT doubles a power-of-two piece, and
-    S_(a+b) = S_a + P^a S_b P^aT adds it to the total.
+    In the deviation modes i, j >= 2 of L = U diag(lambda) U^T,
+    S = U_d [(U_d^T C U_d)_ij / (1 - mu_i mu_j)] U_d^T (Xiao, Boyd & Kim
+    2007), with 1 - mu_i mu_j = g_i + g_j - g_i g_j for g = gamma * lambda,
+    so nothing cancels. trace(S) / N is the exact e_ss.
     """
-    power, total = np.eye(p.n), np.zeros((p.n, p.n))  # P^0, S_0
-    step, part = p.matrix, cov                          # P^1, S_1
-    while k:
-        if k & 1:
-            total = total + power @ part @ power.T
-            power = power @ step
-        k >>= 1
-        if k:
-            part = part + step @ part @ step.T
-            step = step @ step
-    return power, total
+    lam, u = p.graph.spectrum
+    u = u[:, 1:]
+    g = p.gamma * lam[1:]
+    gaps = g[:, None] + g[None, :] - np.outer(g, g)
+    return u @ ((u.T @ cov @ u) / gaps) @ u.T
 
 
 # numpy's SeedSequence hash constants and pool size
@@ -230,7 +226,7 @@ class TrialEnsemble:
     """Per-trial error series of a Monte Carlo run; the trial average and
     its standard error are derived from them on first use."""
 
-    # the rows are steps burn_in ... horizon of run_trials
+    # the rows are steps 0 ... horizon of run_trials
     e_agg_trials: np.ndarray    # (rows, trials) per-trial series
     first_trajectory: np.ndarray  # (rows, N) xbar of trial 0
 
@@ -252,7 +248,7 @@ class TrialEnsemble:
 def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
                master_seed, xbar0=None, jobs: int = 1,
                noise_model: str = "protocol",
-               burn_in: int = 0) -> TrialEnsemble:
+               stationary: bool = False) -> TrialEnsemble:
     """Simulate independent seeded trials of the private dynamics.
 
     Trial t draws its noise from a generator keyed by (master_seed, t)
@@ -271,15 +267,13 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     noise_model, "protocol" or "network", selects the law of the state
     perturbation z; noise_covariance gives each law's Cov[z].
 
-    burn_in = k > 0 starts every trial at step k in place of simulating
-    steps 1 ... k. From the start xbar0 the state x(k) is Gaussian with
-    mean P^k xbar0 and covariance S_k = sum_{j<k} P^j Cov[z] P^j
-    (_k_step_law), so each trial first draws N standard normals xi from
-    its generator, before any noise, and starts at P^k xbar0 + F xi, with
-    F a symmetric square root of S_k. The run then simulates steps
-    k+1 ... horizon. The squared-error series, its mean and standard error,
-    and first_trajectory cover steps k ... horizon. burn_in = 0 draws
-    nothing and starts at xbar0.
+    stationary=True adds to the start xbar0 a deviation drawn from its
+    stationary law N(0, S) (_stationary_covariance): each trial first
+    draws N standard normals xi from its generator, before any noise, and
+    starts at xbar0 + F xi, with F the symmetric square root of S. With
+    stationary=False it starts at xbar0 and draws nothing more. Either
+    way the squared-error series, its mean and standard error, and
+    first_trajectory cover steps 0 ... horizon.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -287,9 +281,6 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if not 0 <= burn_in <= horizon:
-        raise ValueError(
-            f"burn_in must lie in [0, horizon={horizon}], got {burn_in}")
     n = p.n
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
@@ -298,16 +289,14 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     # the scale of each draw: sigma_j for the protocol law, which mixes the
     # scaled draws through the gain, and the network law's z_i directly
     scale = sigmas if noise_model == "protocol" else np.sqrt(np.diag(cov))
-    if burn_in:
-        power, start_cov = _k_step_law(p, cov, burn_in)
-        # roundoff leaves the zero eigenvalues of a singular S_k (sigma = 0,
-        # or a protocol law with a rank-deficient gain) slightly negative
-        lam, u = np.linalg.eigh(start_cov)
+    if stationary:
+        # roundoff leaves the zero eigenvalues of S (the consensus mode, and
+        # more for sigma = 0 or a protocol law with a rank-deficient gain)
+        # slightly negative
+        lam, u = np.linalg.eigh(_stationary_covariance(p, cov))
         root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T
-        x0 = power @ x0
-    steps = horizon - burn_in
 
-    block = max(1, min(-(-BLOCK_DRAWS // n), steps))
+    block = max(1, min(-(-BLOCK_DRAWS // n), horizon))
     # one scale per draw of a trial's block row
     scale_row = np.tile(scale, block)
 
@@ -323,7 +312,7 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
              else space[1][:size].reshape(block, count, n))
         # x[0] carries the block's start
         x = space[2][:size + count * n].reshape(block + 1, count, n)
-        if burn_in:
+        if stationary:
             for i, g in enumerate(rngs):
                 g.standard_normal(out=x[1, i])
             np.matmul(x[1], root, out=x[0])  # root is symmetric
@@ -358,8 +347,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         mean_square_error(x[:1], e_tile[:1])
         if first:
             traj[0] = x[0, 0]
-        for k0 in range(0, steps, block):
-            b = min(block, steps - k0)
+        for k0 in range(0, horizon, block):
+            b = min(block, horizon - k0)
             for i, g in enumerate(rngs):
                 g.standard_normal(out=v[i, :b])
             draws[:, :b * n] *= scale_row[:b * n]
@@ -398,8 +387,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     # a hole the next run reuses, not a heap top that malloc hands back to
     # the system and the next run faults in again
     spaces = [buffers(share) for share in shares]
-    e_agg = np.empty((steps + 1, trials))
-    traj = np.empty((steps + 1, n))
+    e_agg = np.empty((horizon + 1, trials))
+    traj = np.empty((horizon + 1, n))
     if workers == 1:
         run_share(shares[0], spaces[0])
     else:
@@ -410,35 +399,22 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     return TrialEnsemble(e_agg, traj)
 
 
-# bias bound of estimate_ess, relative to e_ss: the start-up transient left
-# after the burn-in, rho^(2 k_b)
-BURN_IN_TOL = 1e-6
-
-
-def burn_in_and_window(p: PerronMatrix) -> tuple:
-    """Burn-in k_b and averaging window W of a Monte Carlo run from zero.
-
-    From a zero start every deviation mode's variance is its steady value
-    times 1 - mu_i^(2k), so E e_agg(k) >= e_ss * (1 - rho^(2k)) with
-    rho = max_{i>=2} |mu_i|. k_b is the smallest k with rho^(2k) <=
-    BURN_IN_TOL, and W = ceil(12.5 / (1 - rho)), a quarter of 50 mixing
-    times.
+def averaging_window(p: PerronMatrix) -> int:
+    """Averaging window W of a stationary Monte Carlo run: W =
+    ceil(12.5 / (1 - rho)) steps, a quarter of 50 mixing times, with
+    rho = max_{i>=2} |mu_i|.
     """
     # 1 - rho^2; with one agent there is no deviation mode and rho = 0
     gap = float(np.min(p.mode_gaps, initial=1.0))
-    rho2 = 1.0 - gap
-    burn_in = (0 if rho2 == 0.0
-               else math.ceil(math.log(BURN_IN_TOL) / math.log1p(-gap)))
-    # 1 - rho without the cancellation of 1 - sqrt(rho2)
-    window = math.ceil(12.5 * (1.0 + math.sqrt(rho2)) / gap)
-    return burn_in, window
+    # 1 - rho without the cancellation of 1 - sqrt(1 - gap)
+    return math.ceil(12.5 * (1.0 + math.sqrt(1.0 - gap)) / gap)
 
 
 @dataclass(frozen=True)
 class EssEstimate:
     value: float
     half_width: float
-    horizon: int
+    horizon: int    # steps each trial simulates, the window W
     trials: int
 
 
@@ -450,23 +426,21 @@ def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
     variances), the process whose steady state the Kemeny sandwich and the
     exact oracle on its diagonal covariance characterize.
 
-    Each trial starts at step k_b (burn_in_and_window) with a state drawn
-    from the exact law of a run from a zero start (run_trials' burn_in),
-    runs W more steps and averages its squared-error series over steps
-    k_b+1 ... k_b+W; the estimate is the mean of these per-trial window
-    means, biased low by at most BURN_IN_TOL * e_ss. Trials are i.i.d., so
-    the half-width is a valid 95% normal interval from the spread of the
-    per-trial window means.
+    Each trial starts in the stationary law (run_trials' stationary),
+    runs W = averaging_window(p) steps and averages its squared-error
+    series over steps 1 ... W; every step has expectation e_ss, so the
+    estimate, the mean of these per-trial window means, is unbiased.
+    Trials are i.i.d., so the half-width is a valid 95% normal interval
+    from the spread of the per-trial window means.
     """
-    burn_in, window = burn_in_and_window(p)
-    horizon = burn_in + window
-    ens = run_trials(p, sigmas, horizon, trials, master_seed, jobs=jobs,
-                     noise_model="network", burn_in=burn_in)
-    # row 0 is the drawn start, step k_b
+    window = averaging_window(p)
+    ens = run_trials(p, sigmas, window, trials, master_seed, jobs=jobs,
+                     noise_model="network", stationary=True)
+    # row 0 is the drawn start
     trial_means = ens.e_agg_trials[1:].mean(axis=0)
     value = float(trial_means.mean())
     if trials > 1:
         hw = 1.96 * float(np.std(trial_means, ddof=1)) / math.sqrt(trials)
     else:
         hw = float("inf") if value > 0 else 0.0
-    return EssEstimate(value, hw, horizon, trials)
+    return EssEstimate(value, hw, window, trials)

@@ -4,8 +4,8 @@ dynamics.run_trials works through the horizon in time blocks from
 persistent per-trial generators. whole_tensor_run_trials is the same
 computation written the direct way: draw each trial's whole (horizon, N)
 noise at once, mix the full (horizon, trials, N) tensor, and reduce one
-step at a time. With a burn-in k it draws each trial's start
-P^k xbar0 + F xi from N standard normals before the noise, as run_trials
+step at a time. With a stationary start it draws each trial's start
+xbar0 + F xi from N standard normals before the noise, as run_trials
 does. It needs 2 * 8 * horizon * trials * N bytes, so it lives next to
 the tests, not in the library.
 
@@ -26,7 +26,7 @@ import numpy as np
 from dpformation.dynamics import (
     TILE_TRIALS,
     TrialEnsemble,
-    _k_step_law,
+    _stationary_covariance,
     estimate_ess,
     noise_covariance,
     noise_gain,
@@ -47,7 +47,7 @@ def trial_rng(master_seed, trial: int) -> np.random.Generator:
 def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
                             master_seed, xbar0=None,
                             noise_model: str = "protocol",
-                            burn_in: int = 0) -> TrialEnsemble:
+                            stationary: bool = False) -> TrialEnsemble:
     """run_trials with the noise of every step materialized up front,
     on run_trials' tiles, one after the other."""
     n = p.n
@@ -56,36 +56,34 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
     gain = noise_gain(p)
     # the network law: independent z_i of variance sum_j G_ij^2 sigma_j^2
     z_scale = np.sqrt(gain**2 @ sigmas**2)
-    if burn_in:
-        # x(k) ~ N(P^k xbar0, S_k); root is S_k's symmetric square root
-        power, cov = _k_step_law(
-            p, noise_covariance(p, sigmas, noise_model), burn_in)
+    if stationary:
+        # the deviation ~ N(0, S); root is S's symmetric square root
+        cov = _stationary_covariance(
+            p, noise_covariance(p, sigmas, noise_model))
         lam, u = np.linalg.eigh(cov)
         root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T
-        x0 = power @ x0
-    steps = horizon - burn_in
 
     def run_tile(t_lo, t_hi):
         count = t_hi - t_lo
         xi = np.empty((count, n))
-        v = np.empty((steps, count, n))
+        v = np.empty((horizon, count, n))
         for t in range(t_lo, t_hi):
             rng = trial_rng(master_seed, t)
-            if burn_in:
+            if stationary:
                 xi[t - t_lo] = rng.standard_normal(n)
-            v[:, t - t_lo, :] = rng.standard_normal((steps, n))
+            v[:, t - t_lo, :] = rng.standard_normal((horizon, n))
         if noise_model == "protocol":
             z = (v * sigmas) @ gain  # gain is symmetric
         else:
             z = v * z_scale
-        x = xi @ root + x0 if burn_in else np.tile(x0, (count, 1))
-        e_agg = np.empty((steps + 1, count))
-        traj = np.empty((steps + 1, n)) if t_lo == 0 else None
+        x = xi @ root + x0 if stationary else np.tile(x0, (count, 1))
+        e_agg = np.empty((horizon + 1, count))
+        traj = np.empty((horizon + 1, n)) if t_lo == 0 else None
         dev = x - x.mean(axis=1, keepdims=True)
         e_agg[0] = np.mean(dev**2, axis=1)
         if traj is not None:
             traj[0] = x[0]
-        for k in range(steps):
+        for k in range(horizon):
             x = x @ p.matrix + z[k]  # P is symmetric
             dev = x - x.mean(axis=1, keepdims=True)
             e_agg[k + 1] = np.mean(dev**2, axis=1)

@@ -7,10 +7,10 @@ from dpformation import (
     PrivacyParams,
     WeightedGraph,
     algebraic_connectivity,
+    averaging_window,
     bound_report,
     build_perron,
     build_standard_topology,
-    burn_in_and_window,
     corollary1_bound,
     epsilon_threshold_closed_form,
     epsilon_threshold_numeric,
@@ -84,10 +84,9 @@ class TestExactOracle:
         sigma = noise_scale(PrivacyParams(math.log(3), 0.00135, 2.0))
         exact = exact_ess_oracle(p, noise_covariance(p, sigma, "protocol"))
         network = exact_ess_oracle(p, noise_covariance(p, sigma, "network"))
-        burn_in, window = burn_in_and_window(p)
-        ens = run_trials(p, sigma, burn_in + window, 2000, 11,
-                         noise_model="protocol")
-        tail_mean = float(ens.e_agg_trials[burn_in + 1:].mean())
+        ens = run_trials(p, sigma, averaging_window(p), 2000, 11,
+                         noise_model="protocol", stationary=True)
+        tail_mean = float(ens.e_agg_trials[1:].mean())
         assert tail_mean == pytest.approx(exact, rel=0.03)
         assert not tail_mean == pytest.approx(network, rel=0.5)
 

@@ -250,6 +250,43 @@ class TestSimulate:
         assert text == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("entry,shown", [("true", "True"),
+                                             ("null", "None")])
+    def test_non_numeric_anchor_exits_2_before_output(self, tmp_path, capsys,
+                                                      entry, shown):
+        # a YAML true used to run as the anchor 1.0, and null was blamed on
+        # finiteness; a numeric string is still read as a number
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(DEMO_CONFIG.replace("[[0, 0]", f"[[{entry}, 0]"))
+        code, text, err = run(capsys, "simulate", "--config", str(cfg),
+                              "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"formation anchor must be a number, got {shown}" in err
+        assert text == ""
+        assert not (tmp_path / "o").exists()
+        cfg.write_text(DEMO_CONFIG.replace("[[0, 0]", "[['1e-3', 0]"))
+        code, _, _ = run(capsys, "bounds", "--config", str(cfg))
+        assert code == 0
+
+    @pytest.mark.parametrize("graph,stray", [
+        ("{kind: line, n: 3, edges: [[1, 2, 5.0]]}", "edges"),
+        ("{nodes: 3, edges: [[1, 2, 1.0], [2, 3, 0.5]], w: 9.0}", "w")],
+        ids=["kind-with-edges", "nodes-with-w"])
+    def test_mixed_graph_forms_exit_2_before_output(self, tmp_path, capsys,
+                                                    graph, stray):
+        # the key of the form not picked used to be dropped: the first ran
+        # a uniform line without the weight 5.0, the second ignored w
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(EDGE_LIST_CONFIG.replace(
+            "graph:\n  nodes: 3\n  edges: [[1, 2, 1.0], [2, 3, 0.5]]",
+            f"graph: {graph}"))
+        code, text, err = run(capsys, "simulate", "--config", str(cfg),
+                              "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"unknown config key {stray!r} in a graph with" in err
+        assert text == ""
+        assert not (tmp_path / "o").exists()
+
     def test_exponent_without_dot_is_a_number(self, tmp_path, capsys):
         # PyYAML reads 1e-3 as the string '1e-3'; it must still mean 0.001
         assert yaml.safe_load("delta: 1e-3") == {"delta": "1e-3"}

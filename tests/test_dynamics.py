@@ -6,9 +6,9 @@ import pytest
 from dpformation import (
     TrialEnsemble,
     WeightedGraph,
+    averaging_window,
     build_perron,
     build_standard_topology,
-    burn_in_and_window,
     estimate_ess,
     exact_ess_oracle,
     noise_covariance,
@@ -224,62 +224,53 @@ class TestRunTrials:
         assert np.array_equal(split.e_agg_trials, one.e_agg_trials)
         assert np.array_equal(split.first_trajectory, one.first_trajectory)
 
-    @pytest.mark.parametrize("burn_in", [-1, 6])
-    def test_rejects_burn_in_outside_horizon(self, star5, burn_in):
-        _, p = star5
-        with pytest.raises(ValueError, match="burn_in must lie in"):
-            run_trials(p, 1.0, 5, 3, 0, burn_in=burn_in)
-
     @pytest.mark.parametrize("noise_model", ["protocol", "network"])
-    def test_burn_in_start_has_the_simulated_law(self, star5, noise_model):
-        # the drawn start of burn_in = k and step k of a run from the same
-        # xbar0 have the same expected squared error,
-        # |Pi P^k x0|^2 / N + tr(Pi S_k) / N with Pi = I - 11^T / N, where
-        # S_k comes from the recursion S <- Q + P S P
+    def test_stationary_start_has_the_stationary_law(self, star5,
+                                                     noise_model):
+        # the deviation of the drawn start has the stationary law, so step
+        # k of the run has expected squared error
+        # |Pi P^k x0|^2 / N + e_ss with Pi = I - 11^T / N, at k = 0 and
+        # at every later step
         _, p = star5
         sigmas = np.array([1.0, 2.0, 0.5, 1.5, 3.0])
         x0 = np.array([1.0, -2.0, 0.0, 4.0, -3.0])
         k, trials = 3, 20000
-        q = noise_covariance(p, sigmas, noise_model)
-        s, mean = np.zeros((5, 5)), x0
-        for _ in range(k):
-            s, mean = q + p.matrix @ s @ p.matrix, p.matrix @ mean
+        e_ss = exact_ess_oracle(p, noise_covariance(p, sigmas, noise_model))
         pi = np.eye(5) - np.full((5, 5), 0.2)
-        want = (np.sum((pi @ mean) ** 2) + np.trace(pi @ s)) / 5
-        drawn = run_trials(p, sigmas, k, trials, 3, xbar0=x0,
-                           noise_model=noise_model, burn_in=k)
-        simulated = run_trials(p, sigmas, k, trials, 4, xbar0=x0,
-                               noise_model=noise_model)
-        assert drawn.e_agg_trials.shape == (1, trials)
-        for ens, row in ((drawn, 0), (simulated, k)):
+        ens = run_trials(p, sigmas, k, trials, 3, xbar0=x0,
+                         noise_model=noise_model, stationary=True)
+        assert ens.e_agg_trials.shape == (k + 1, trials)
+        mean = x0
+        for row in range(k + 1):
+            want = np.sum((pi @ mean) ** 2) / 5 + e_ss
             z = (ens.e_agg_mean[row] - want) / ens.e_agg_sem[row]
             assert abs(z) <= 4.0, (row, z)
+            mean = p.matrix @ mean
 
     @pytest.mark.parametrize("noise_model", ["protocol", "network"])
-    def test_zero_noise_burn_in_starts_at_the_noiseless_state(
-            self, star5, noise_model):
-        # S_k = 0: every trial starts at P^k xbar0 and follows it
+    def test_zero_noise_stationary_start_is_xbar0(self, star5, noise_model):
+        # S = 0: every trial starts at xbar0 and follows P^k xbar0
         _, p = star5
         x0 = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
         ens = run_trials(p, 0.0, 12, 3, 0, xbar0=x0,
-                         noise_model=noise_model, burn_in=5)
+                         noise_model=noise_model, stationary=True)
         want = [x0]
         for _ in range(12):
             want.append(p.matrix @ want[-1])
-        assert ens.first_trajectory.shape == (8, 5)
-        assert np.allclose(ens.first_trajectory, want[5:], rtol=0,
-                           atol=1e-12)
+        assert np.array_equal(ens.first_trajectory[0], x0)
+        assert np.allclose(ens.first_trajectory, want, rtol=0, atol=1e-12)
         assert np.all(ens.e_agg_trials == ens.e_agg_trials[:, :1])
 
     def test_singular_protocol_start_stays_in_its_support(self, star5):
         # the star's protocol noise z = G v = gamma * (sum of the leaves'
         # v, v_hub, v_hub, v_hub, v_hub) gives every leaf the same value,
-        # so S_1 = Cov[z] has rank 2, and the drawn start must too. The
-        # zero eigenvalues come out of eigh as +-1e-16 * |S_1|; the negative
-        # ones are clipped, and the square roots of the positive ones, about
-        # 1e-8, bound how far the leaves of the start may differ
+        # and P keeps the leaves equal, so the stationary deviation S lies
+        # along (4, -1, -1, -1, -1) and has rank 1; the drawn start must
+        # too. The zero eigenvalues come out of eigh as +-1e-16 * |S|; the
+        # negative ones are clipped, and the square roots of the positive
+        # ones, about 1e-8, bound how far the leaves of the start may differ
         _, p = star5
-        ens = run_trials(p, 2.0, 4, 50, 0, burn_in=1)
+        ens = run_trials(p, 2.0, 4, 50, 0, stationary=True)
         start = ens.first_trajectory[0]
         assert np.all(np.isfinite(ens.e_agg_trials))
         assert np.ptp(start[1:]) <= 1e-6 * np.abs(start).max()
@@ -306,8 +297,8 @@ class TestRunTrials:
 
 class TestStreamingMatchesWholeTensor:
     """The time-blocked kernel against the whole-tensor reference, bit for
-    bit, at horizons around the block boundaries, with no burn-in and with
-    the start drawn at step 1, at the middle step and at the last step."""
+    bit, at horizons around the block boundaries, from xbar0 and from a
+    stationary start."""
 
     # numpy's pairwise order below 8 agents, at 8, 8 plus a remainder, the
     # accumulating loop and the split above 128
@@ -338,14 +329,16 @@ class TestStreamingMatchesWholeTensor:
         sigmas = np.linspace(0.5, 2.0, n)
         xbar0 = np.linspace(-3.0, 5.0, n)
         args = (p, sigmas, h, trials, (11, n))
-        for burn_in in sorted({0, 1, h // 2, h}):
-            kw = dict(xbar0=xbar0, noise_model=noise_model, burn_in=burn_in)
+        for stationary in (False, True):
+            kw = dict(xbar0=xbar0, noise_model=noise_model,
+                      stationary=stationary)
             want = whole_tensor_run_trials(*args, **kw)
             got = run_trials(*args, jobs=jobs, **kw)
             for field in ("e_agg_trials", "e_agg_mean", "e_agg_sem",
                           "first_trajectory"):
                 assert np.array_equal(getattr(got, field),
-                                      getattr(want, field)), (burn_in, field)
+                                      getattr(want, field)), (stationary,
+                                                              field)
 
 
 class TestRunTrialsMemory:
@@ -423,25 +416,22 @@ def criterion6_setup(seed):
     return p, rng.uniform(0.5, 1.5, g.n)
 
 
-class TestBurnInAndWindow:
-    def test_near_periodic_cycle_burns_in_past_its_negative_mode(self):
+class TestAveragingWindow:
+    def test_near_periodic_cycle_window_follows_its_negative_mode(self):
         # 4-cycle at gamma = 0.49: mu = 1, 0.02, 0.02, -0.96, so rho is set
         # by the negative eigenvalue, not by gamma * lambda2
         p = build_perron(build_standard_topology("cycle", 4, 1.0), 0.49)
-        burn_in, window = burn_in_and_window(p)
-        assert burn_in >= 170
-        assert 0.96 ** (2 * burn_in) <= 1e-6
-        assert window == 313  # ceil(12.5 / 0.04)
+        assert averaging_window(p) == 313  # ceil(12.5 / 0.04)
 
     def test_near_periodic_cycle_interval_covers_oracle(self):
         p = build_perron(build_standard_topology("cycle", 4, 1.0), 0.49)
         exact = exact_ess_oracle(p, noise_covariance(p, 1.0, "network"))
         check_interval_coverage(p, 1.0, exact, trials=2000)
 
-    def test_zero_rho_needs_no_burn_in(self):
+    def test_zero_rho_window(self):
         # K2 at gamma = 0.5: P = [[.5, .5], [.5, .5]] mixes in one step
         p = build_perron(WeightedGraph(2, ((0, 1, 1.0),)), 0.5)
-        assert burn_in_and_window(p) == (0, 13)
+        assert averaging_window(p) == 13
 
 
 class TestEstimateEss:
@@ -459,14 +449,14 @@ class TestEstimateEss:
 
     def test_value_is_mean_of_per_trial_tail_means(self, star5):
         _, p = star5
-        burn_in, window = burn_in_and_window(p)
+        window = averaging_window(p)
         est = estimate_ess(p, 1.0, trials=200, master_seed=1)
-        ens = run_trials(p, 1.0, burn_in + window, 200, 1,
-                         noise_model="network", burn_in=burn_in)
-        tail = ens.e_agg_trials[1:]  # steps k_b+1 ... k_b+W
+        ens = run_trials(p, 1.0, window, 200, 1, noise_model="network",
+                         stationary=True)
+        tail = ens.e_agg_trials[1:]  # steps 1 ... W
         assert len(tail) == window
         per_trial = tail.mean(axis=0)
-        assert est.horizon == burn_in + window
+        assert est.horizon == window
         assert est.value == pytest.approx(per_trial.mean(), rel=1e-14)
         assert est.value < tail.mean(axis=1).max()
         assert est.half_width == pytest.approx(
@@ -479,9 +469,8 @@ class TestEstimateEss:
         p, sigmas = criterion6_setup(seed)
         trials = 2000
         est = estimate_ess(p, sigmas, trials=trials, master_seed=seed)
-        _, window = burn_in_and_window(p)
         var = window_mean_variance(
-            p, noise_covariance(p, sigmas, "network"), window)
+            p, noise_covariance(p, sigmas, "network"), averaging_window(p))
         ratio = est.half_width / (1.96 * np.sqrt(var / trials))
         assert 0.9 <= ratio <= 1.1, ratio
 

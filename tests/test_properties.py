@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from dpformation import (
     PrivacyParams,
+    averaging_window,
     build_perron,
-    burn_in_and_window,
     corollary1_bound,
     epsilon_threshold_numeric,
     exact_ess_oracle,
@@ -24,7 +24,11 @@ from dpformation import (
     theorem1_bound,
     trial_rngs,
 )
-from dpformation.dynamics import TILE_TRIALS, _agent_sum, _k_step_law
+from dpformation.dynamics import (
+    TILE_TRIALS,
+    _agent_sum,
+    _stationary_covariance,
+)
 from graph_reference import max_degree, random_connected_graph
 from lyapunov_reference import iterative_ess_oracle
 from mc_reference import trial_rng
@@ -79,17 +83,14 @@ def test_oracle_below_theorem1_bound(cfg):
 @SETTINGS
 @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
        extra=st.floats(0.0, 0.6), frac=st.floats(0.01, 0.999))
-def test_burn_in_is_the_first_step_below_tolerance(n, seed, extra, frac):
+def test_window_is_a_quarter_of_fifty_mixing_times(n, seed, extra, frac):
     g = random_connected_graph(n, np.random.default_rng(seed), extra)
     p = build_perron(g, frac / max_degree(g))
-    burn_in, window = burn_in_and_window(p)
+    window = averaging_window(p)
     # rho = max |mu_i| over all but the unit eigenvalue, from P itself
     rho = np.abs(np.linalg.eigvalsh(p.matrix)[:-1]).max()
     rho2 = 1.0 - p.mode_gaps.min()
     assert abs(rho2 - rho**2) <= 1e-12
-    # rho = 0 leaves no transient after the first step: k_b = 0
-    assert rho2**burn_in <= 1e-6 or (rho2 == 0 and burn_in == 0)
-    assert burn_in == 0 or 1e-6 < rho2 ** (burn_in - 1)
     w = 12.5 / (1.0 - rho)
     assert w * (1 - 1e-9) <= window < w * (1 + 1e-9) + 1
 
@@ -107,19 +108,20 @@ def test_threshold_bound_round_trip(log_e_r, n, log_delta, b, gamma, frac):
 
 
 @SETTINGS
-@given(configs(), st.integers(0, 1000))
-def test_doubled_start_law_matches_the_recursion(cfg, k):
-    # P^k and S_k = sum_{j<k} P^j Q P^j by binary doubling against k steps
-    # of S <- Q + P S P, for both laws
+@given(configs())
+def test_stationary_covariance_solves_the_lyapunov_equation(cfg):
+    # S = P S P + Pi Q Pi with Pi = I - 11^T / N, the fixed point of one
+    # step of the deviation's covariance, and trace(S) / N = e_ss, for
+    # both laws
     _, p, _, sigmas = cfg
+    pi = np.eye(p.n) - 1.0 / p.n
     for model in ("network", "protocol"):
         q = noise_covariance(p, sigmas, model)
-        power, s = np.eye(p.n), np.zeros((p.n, p.n))
-        for _ in range(k):
-            power, s = p.matrix @ power, q + p.matrix @ s @ p.matrix
-        got_power, got_s = _k_step_law(p, q, k)
-        assert np.abs(got_power - power).max() <= 1e-12 * np.abs(power).max()
-        assert np.abs(got_s - s).max() <= 1e-12 * np.abs(s).max(), model
+        s = _stationary_covariance(p, q)
+        step = p.matrix @ s @ p.matrix + pi @ q @ pi
+        assert np.abs(step - s).max() <= 1e-12 * np.abs(s).max(), model
+        exact = exact_ess_oracle(p, q)
+        assert abs(np.trace(s) / p.n - exact) <= 1e-12 * exact, model
 
 
 SEED_ENTRIES = st.integers(0, 2**70 - 1)
@@ -146,16 +148,15 @@ def test_batched_trial_seeding_matches_seed_sequence(master_seed, t_lo,
 
 @st.composite
 def trial_plans(draw):
-    """(trials, horizon, burn_in): up to 40 trials in one tile over up to
-    150 steps, or two to three tiles over up to 12 steps, with the start
-    drawn at a step up to the horizon half of the time."""
+    """(trials, horizon, stationary): up to 40 trials in one tile over up
+    to 150 steps, or two to three tiles over up to 12 steps, with the
+    start drawn from the stationary law half of the time."""
     if draw(st.booleans()):
         trials, horizon = draw(st.integers(1, 40)), draw(st.integers(0, 150))
     else:
         trials = draw(st.integers(TILE_TRIALS + 2, 3 * TILE_TRIALS))
         horizon = draw(st.integers(0, 12))
-    burn_in = draw(st.integers(0, horizon)) if draw(st.booleans()) else 0
-    return trials, horizon, burn_in
+    return trials, horizon, draw(st.booleans())
 
 
 @SETTINGS
@@ -168,12 +169,12 @@ def test_every_jobs_gives_the_same_bits(cfg, plan, jobs):
     # whatever the thread count, also at N = 17 and 130, where OpenBLAS
     # rounds a row differently for different row counts
     _, p, _, sigmas = cfg
-    trials, horizon, burn_in = plan
+    trials, horizon, stationary = plan
     args = (p, sigmas, horizon, trials, 17)
     for model in ("protocol", "network"):
-        one = run_trials(*args, noise_model=model, burn_in=burn_in)
+        one = run_trials(*args, noise_model=model, stationary=stationary)
         split = run_trials(*args, jobs=jobs, noise_model=model,
-                           burn_in=burn_in)
+                           stationary=stationary)
         assert np.array_equal(split.e_agg_trials, one.e_agg_trials), model
         assert np.array_equal(split.first_trajectory,
                               one.first_trajectory), model
