@@ -45,11 +45,7 @@ from .bounds import (
 from .config import ConfigError, RunConfig, demo_config
 from .sensitivity import (
     CutoffReport,
-    SensitivityPoint,
     SensitivityReport,
-    dominance_quadratic,
-    partial_epsilon,
-    partial_lambda2,
     sensitivity_compare,
     theorem3_thresholds,
 )

@@ -202,24 +202,29 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    pt = sensitivity.SensitivityPoint(
-        epsilon=args.epsilon, delta=args.delta, b=args.b, gamma=args.gamma,
-        n_agents=args.n, lambda2=args.lambda2)
-    rep = sensitivity.sensitivity_compare(pt)
+    lam2 = args.lambda2
+    rep = sensitivity.sensitivity_compare(
+        args.epsilon, lam2, n_agents=args.n, gamma=args.gamma, b=args.b,
+        delta=args.delta)
     print(f"d(bound)/d(epsilon) = {_fmt(rep.d_epsilon)}")
     print(f"d(bound)/d(lambda2) = {_fmt(rep.d_lambda2)}")
     print(f"verdict: {rep.verdict}")
     if not rep.in_valid_region:
-        print(f"note: lambda2={_fmt(args.lambda2)} is outside (0, 1/gamma) "
+        print(f"note: lambda2={_fmt(lam2)} is outside (0, 1/gamma) "
               f"= (0, {_fmt(1.0 / args.gamma)}); both-partials-negative "
               "reasoning does not apply there")
-    print(f"quadratic diagnostic: {_fmt(rep.quadratic)} "
-          f"(agrees with verdict: {rep.quadratic_agrees})")
+    print(f"exact cutoff: topology_dominant for lambda2 < "
+          f"{_fmt(rep.exact_cutoff)}")
     c = rep.cutoffs
     print(f"closed-form cutoffs: lambda2 > {_fmt(c.upper_cut)} or "
           f"lambda2 < {_fmt(c.lower_cut)} "
           f"(alpha={_fmt(c.alpha)}, eta1={_fmt(c.eta1)}, "
           f"eta2={_fmt(c.eta2)})")
+    literal = lam2 > c.upper_cut or lam2 < c.lower_cut
+    if literal != (lam2 < rep.exact_cutoff):
+        print(f"note: the closed-form cutoffs call lambda2={_fmt(lam2)} "
+              f"{'topology' if literal else 'epsilon'}_dominant and the "
+              "exact cutoff does not")
     return 0
 
 
@@ -310,7 +315,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and StepSizeTooLarge included
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except graphs.NumericalError as exc:
+    except (graphs.NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -43,7 +43,13 @@ class RunConfig:
             raise ConfigError(
                 f"{len(self.privacy_params)} privacy entries for "
                 f"{self.graph.n} agents")
-        anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
+        try:
+            anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
+        except ValueError:  # ragged rows
+            lengths = [len(r) if isinstance(r, (list, tuple)) else 1
+                       for r in self.anchors]
+            raise ConfigError("formation anchors must be an (N, n) matrix, "
+                              f"got rows of lengths {lengths}") from None
         object.__setattr__(self, "anchors", anchors)
         if anchors.ndim != 2 or anchors.shape[1] < 1:
             raise ConfigError("formation anchors must be an (N, n) matrix "

@@ -1,11 +1,10 @@
 """Sensitivity of the steady-state-error bound to the privacy level and to
-network connectivity.
+network connectivity (Theorem 3).
 
 Both partial derivatives of the homogeneous bound are evaluated in closed
-form. The dominance verdict (is the bound more sensitive to lambda2 or to
-epsilon?) is the direct comparison of the two evaluated partials; the
-closed-form lambda2 cutoffs and the underlying quadratic are reported as
-diagnostics alongside, since they need not agree everywhere.
+form, and the dominance verdict (is the bound more sensitive to lambda2 or
+to epsilon?) is their direct comparison. The exact lambda2 cutoff of that
+comparison and the literal published cutoffs are reported beside it.
 
 Both partials are negative only for lambda2 < 1/gamma; the lambda2 partial
 vanishes at lambda2 = 1/gamma and is positive beyond it, so dominance
@@ -15,54 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import bounds, graphs, privacy
-
-
-@dataclass(frozen=True)
-class SensitivityPoint:
-    """One evaluation point of the homogeneous bound."""
-
-    epsilon: float
-    delta: float
-    b: float
-    gamma: float
-    n_agents: int
-    lambda2: float
-
-    def __post_init__(self):
-        self.bound  # corollary1_bound checks every field
-
-    @cached_property
-    def bound(self) -> float:
-        return bounds.corollary1_bound(
-            self.epsilon, self.lambda2, n_agents=self.n_agents,
-            gamma=self.gamma, b=self.b, delta=self.delta)
-
-    @property
-    def aux(self) -> float:
-        """A = lambda_aux * r, with r = sqrt(K_delta^2 + 2*eps) and
-        lambda_aux = K_delta + r; d(ln kappa)/d(eps) = 1/A - 1/eps."""
-        k = privacy.q_inverse(self.delta)
-        r = math.sqrt(k * k + 2.0 * self.epsilon)
-        return (k + r) * r
-
-
-def partial_epsilon(pt: SensitivityPoint) -> float:
-    """d(bound)/d(epsilon) at the point, in closed form: the bound is
-    proportional to kappa^2, so this is 2 * bound * (1/A - 1/eps)."""
-    return 2.0 * pt.bound * (1.0 / pt.aux - 1.0 / pt.epsilon)
-
-
-def partial_lambda2(pt: SensitivityPoint) -> float:
-    """d(bound)/d(lambda2) at the point, in closed form:
-    bound * (gamma / (2 - gamma*lambda2) - 1/lambda2).
-
-    Zero exactly at lambda2 = 1/gamma, the bound's minimizer in lambda2.
-    """
-    return pt.bound * (pt.gamma / (2.0 - pt.gamma * pt.lambda2)
-                       - 1.0 / pt.lambda2)
 
 
 @dataclass(frozen=True)
@@ -97,47 +50,47 @@ def theorem3_thresholds(epsilon: float, delta: float,
                         alpha=alpha, eta1=eta1, eta2=eta2)
 
 
-def dominance_quadratic(pt: SensitivityPoint) -> float:
-    """Quadratic in lambda2 whose negativity marks topology dominance.
-
-    (eps*gamma/A - gamma)*lam2^2 + (2 + eps*gamma - 2*eps/A)*lam2 - eps,
-    with A = lambda_aux * sqrt(K_delta^2 + 2*eps). Reported as a diagnostic
-    next to the direct partial comparison.
-    """
-    a = pt.aux
-    g, e, l2 = pt.gamma, pt.epsilon, pt.lambda2
-    return ((e * g / a - g) * l2**2 + (2.0 + e * g - 2.0 * e / a) * l2 - e)
-
-
 @dataclass(frozen=True)
 class SensitivityReport:
     d_epsilon: float
     d_lambda2: float
     verdict: str                 # "topology_dominant" | "epsilon_dominant"
-    quadratic: float
-    quadratic_agrees: bool
-    cutoffs: CutoffReport
+    exact_cutoff: float          # topology dominates iff lambda2 < this
+    cutoffs: CutoffReport        # the literal published ones
     in_valid_region: bool        # lambda2 in (0, 1/gamma)
 
 
-def sensitivity_compare(pt: SensitivityPoint) -> SensitivityReport:
-    """Which lever moves the bound more at this point?
+def sensitivity_compare(epsilon: float, lambda2: float, *, n_agents: int,
+                        gamma: float, b: float,
+                        delta: float) -> SensitivityReport:
+    """Which lever moves the bound B more at this point?
 
-    The verdict compares the evaluated partials directly: topology dominates
-    when d/d(lambda2) < d/d(epsilon) (both negative on the valid region).
-    The quadratic diagnostic and the closed-form cutoffs are reported but do
-    not influence the verdict.
+    With K = Q^-1(delta), r = sqrt(K^2 + 2 eps) and A = (K + r) r,
+    d(B)/d(eps) = 2B (1/A - 1/eps) and
+    d(B)/d(lambda2) = B (gamma / (2 - gamma lambda2) - 1/lambda2).
+    The verdict compares them directly: topology dominates when
+    d/d(lambda2) < d/d(eps) (both negative on the valid region).
+
+    Times lambda2 (2 - gamma lambda2) / (2B) > 0, d/d(lambda2) - d/d(eps)
+    is -f(lambda2), f(x) = u gamma x^2 - (gamma + 2u) x + 1 with
+    u = 1/eps - 1/A > 0 (A > r^2 > 2 eps). f is 1 at 0, -u/gamma at
+    1/gamma and -1 at 2/gamma, so its one root in (0, 2/gamma) lies in
+    (0, 1/gamma), and topology dominates iff lambda2 is below it:
+    2 / (gamma + 2u + sqrt(gamma^2 + 4u^2)), a sum of positive terms.
     """
-    de = partial_epsilon(pt)
-    dl = partial_lambda2(pt)
-    verdict = "topology_dominant" if dl < de else "epsilon_dominant"
-    quad = dominance_quadratic(pt)
+    bound = bounds.corollary1_bound(epsilon, lambda2, n_agents=n_agents,
+                                    gamma=gamma, b=b, delta=delta)
+    k = privacy.q_inverse(delta)
+    r = math.sqrt(k * k + 2.0 * epsilon)
+    aux = (k + r) * r
+    de = 2.0 * bound * (1.0 / aux - 1.0 / epsilon)
+    dl = bound * (gamma / (2.0 - gamma * lambda2) - 1.0 / lambda2)
+    u = 1.0 / epsilon - 1.0 / aux
     return SensitivityReport(
         d_epsilon=de,
         d_lambda2=dl,
-        verdict=verdict,
-        quadratic=quad,
-        quadratic_agrees=(quad < 0) == (verdict == "topology_dominant"),
-        cutoffs=theorem3_thresholds(pt.epsilon, pt.delta, pt.gamma),
-        in_valid_region=0.0 < pt.lambda2 < 1.0 / pt.gamma,
+        verdict="topology_dominant" if dl < de else "epsilon_dominant",
+        exact_cutoff=2.0 / (gamma + 2.0 * u + math.hypot(gamma, 2.0 * u)),
+        cutoffs=theorem3_thresholds(epsilon, delta, gamma),
+        in_valid_region=0.0 < lambda2 < 1.0 / gamma,
     )

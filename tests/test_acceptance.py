@@ -22,14 +22,12 @@ from dpformation import (
     exact_ess_oracle,
     lemma7_sandwich,
     noise_covariance,
-    partial_epsilon,
-    partial_lambda2,
     q_inverse,
     reproduce_table1,
     run_trials,
+    sensitivity_compare,
     theorem1_bound,
     theorem3_thresholds,
-    SensitivityPoint,
 )
 from chain_reference import kemeny_constant
 from graph_reference import max_degree, random_connected_graph
@@ -128,14 +126,14 @@ def test_gradient_checks():
 
     for eps in np.linspace(0.05, 1.0, 10):
         for lam2 in np.linspace(0.5, 0.9 / gamma, 10):
-            pt = SensitivityPoint(epsilon=eps, delta=delta, b=b, gamma=gamma,
-                                  n_agents=n, lambda2=lam2)
+            rep = sensitivity_compare(eps, lam2, n_agents=n, gamma=gamma,
+                                      b=b, delta=delta)
             he = 1e-6 * eps
             fd_e = (bound(eps + he, lam2) - bound(eps - he, lam2)) / (2 * he)
             hl = 1e-6 * lam2
             fd_l = (bound(eps, lam2 + hl) - bound(eps, lam2 - hl)) / (2 * hl)
-            assert partial_epsilon(pt) == pytest.approx(fd_e, rel=1e-6)
-            assert partial_lambda2(pt) == pytest.approx(fd_l, rel=1e-6)
+            assert rep.d_epsilon == pytest.approx(fd_e, rel=1e-6)
+            assert rep.d_lambda2 == pytest.approx(fd_l, rel=1e-6)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     return f"{elapsed:.2f}s"

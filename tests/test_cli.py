@@ -493,6 +493,24 @@ class TestSensitivityCommand:
         assert code == 0
         assert "verdict: epsilon_dominant" in text
         assert "lambda2 > 5.5512" in text
+        assert "exact cutoff: topology_dominant for lambda2 < 0.00500152335" \
+            in text
+        assert "note: the closed-form cutoffs" not in text
+
+    def test_literal_upper_cutoff_disagreement_is_noted(self, capsys):
+        # 7 lies above the literal upper cutoff 5.55129034 inside the valid
+        # region (0, 10), where the partials say epsilon dominates
+        code, text, _ = run(capsys, "sensitivity", "--epsilon", "0.01",
+                            "--lambda2", "7")
+        assert code == 0
+        assert text.splitlines()[2:] == [
+            "verdict: epsilon_dominant",
+            "exact cutoff: topology_dominant for lambda2 < 0.00500152335",
+            "closed-form cutoffs: lambda2 > 5.55129034 or lambda2 < "
+            "0.00500152335 (alpha=140.633856, eta1=19.0148592, "
+            "eta2=10.0050028)",
+            "note: the closed-form cutoffs call lambda2=7 topology_dominant "
+            "and the exact cutoff does not"]
 
     def test_minimizer_reports_zero_partial(self, capsys):
         code, text, _ = run(capsys, "sensitivity", "--epsilon", "0.01",
@@ -545,6 +563,26 @@ def test_lambda2_error_names_value_and_limit(tmp_path, capsys, argv, limit,
     assert text == ""
     assert not (tmp_path / "surface.csv").exists()
 
+OVERFLOW_N = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["sensitivity", "--epsilon", "1e200", "--lambda2", "2"],
+    ["design", "--n", OVERFLOW_N],
+    ["sweep", "--n", OVERFLOW_N],
+    ["sensitivity", "--epsilon", "0.5", "--lambda2", "2", "--n", OVERFLOW_N],
+], ids=["sensitivity-epsilon", "design-n", "sweep-n", "sensitivity-n"])
+def test_overflow_exits_3(tmp_path, capsys, argv):
+    # an OverflowError (epsilon**2 in the literal cutoffs, or an integer
+    # too large for a float) used to escape as a traceback with exit 1
+    out = ["--out", str(tmp_path)] if argv[0] != "sensitivity" else []
+    code, text, err = run(capsys, *argv, *out)
+    assert code == 3
+    assert err.startswith("numerical failure: ")
+    assert text == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestBoundsCommand:
     def test_demo_report(self, capsys):
         code, text, _ = run(capsys, "bounds")
@@ -590,6 +628,20 @@ class TestBoundsCommand:
         code, text, err = run(capsys, "bounds", "--config", str(cfg))
         assert code == 2
         assert "epsilon must be positive and finite" in err
+        assert text == ""
+
+    def test_ragged_anchors_exit_2(self, tmp_path, capsys):
+        # numpy's "inhomogeneous shape" message used to name neither the
+        # formation nor its anchors
+        cfg = tmp_path / "ragged.yaml"
+        cfg.write_text(DEMO_CONFIG
+                       .replace("kind: star, n: 5", "kind: line, n: 3")
+                       .replace("[[0, 0], [-20, 20], [20, 20], [20, -20], "
+                                "[-20, -20]]", "[[0, 1], [1], [2, 3]]"))
+        code, text, err = run(capsys, "bounds", "--config", str(cfg))
+        assert code == 2
+        assert ("formation anchors must be an (N, n) matrix, got rows of "
+                "lengths [2, 1, 2]") in err
         assert text == ""
 
     @pytest.mark.parametrize("gamma", BAD_CONFIG_GAMMAS)
