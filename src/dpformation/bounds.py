@@ -29,17 +29,14 @@ from .graphs import PerronMatrix
 def exact_ess_oracle(p: PerronMatrix, cov) -> float:
     """Exact steady-state error of xbar(k+1) = P xbar(k) + z(k).
 
-    cov is the N x N matrix C = Cov[z] (dynamics.noise_covariance). With
-    L = U diag(lambda) U^T, deviation mode i >= 2 settles at variance
-    (U^T C U)_ii / a_i with a_i = 1 - mu_i^2 (Xiao, Boyd & Kim 2007), so
-    e_ss = (1/N) * sum_{i>=2} (U^T C U)_ii / a_i.
+    cov is the N x N matrix C = Cov[z] (dynamics.noise_covariance).
+    Deviation mode i >= 2 settles at the variance M_ii of
+    p.stationary_modes(C), so e_ss = trace(M) / N.
     """
     c = np.asarray(cov, dtype=float)
     if c.shape != (p.n, p.n):
         raise ValueError(f"Cov[z] must be {p.n} x {p.n}, got shape {c.shape}")
-    u = p.graph.spectrum[1][:, 1:]
-    modal = np.sum(u * (c @ u), axis=0)
-    return float(np.sum(modal / p.mode_gaps) / p.n)
+    return float(np.trace(p.stationary_modes(c)) / p.n)
 
 
 def lemma7_sandwich(p: PerronMatrix, z_diag) -> tuple:

@@ -48,23 +48,6 @@ def noise_covariance(p: PerronMatrix, sigmas, noise_model: str) -> np.ndarray:
     raise ValueError(f"unknown noise_model {noise_model!r}")
 
 
-def _stationary_covariance(p: PerronMatrix, cov: np.ndarray) -> np.ndarray:
-    """Stationary covariance S of the deviation from the network mean of
-    xbar(k+1) = P xbar(k) + z(k) with Cov[z] = cov, the solution of
-    S = P S P + Pi cov Pi with Pi = I - 11^T / N.
-
-    In the deviation modes i, j >= 2 of L = U diag(lambda) U^T,
-    S = U_d [(U_d^T C U_d)_ij / (1 - mu_i mu_j)] U_d^T (Xiao, Boyd & Kim
-    2007), with 1 - mu_i mu_j = g_i + g_j - g_i g_j for g = gamma * lambda,
-    so nothing cancels. trace(S) / N is the exact e_ss.
-    """
-    lam, u = p.graph.spectrum
-    u = u[:, 1:]
-    g = p.gamma * lam[1:]
-    gaps = g[:, None] + g[None, :] - np.outer(g, g)
-    return u @ ((u.T @ cov @ u) / gaps) @ u.T
-
-
 # numpy's SeedSequence hash constants and pool size
 # (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -268,7 +251,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     perturbation z; noise_covariance gives each law's Cov[z].
 
     stationary=True adds to the start xbar0 a deviation drawn from its
-    stationary law N(0, S) (_stationary_covariance): each trial first
+    stationary law N(0, S), S = U_d M U_d^T with M = p.stationary_modes
+    of Cov[z] and U_d the deviation eigenvectors: each trial first
     draws N standard normals xi from its generator, before any noise, and
     starts at xbar0 + F xi, with F the symmetric square root of S. With
     stationary=False it starts at xbar0 and draws nothing more. Either
@@ -293,7 +277,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         # roundoff leaves the zero eigenvalues of S (the consensus mode, and
         # more for sigma = 0 or a protocol law with a rank-deficient gain)
         # slightly negative
-        lam, u = np.linalg.eigh(_stationary_covariance(p, cov))
+        ud = p.graph.spectrum[1][:, 1:]
+        lam, u = np.linalg.eigh(ud @ p.stationary_modes(cov) @ ud.T)
         root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T
 
     block = max(1, min(-(-BLOCK_DRAWS // n), horizon))

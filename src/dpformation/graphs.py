@@ -182,6 +182,20 @@ class PerronMatrix:
             raise NumericalError("a mode of P has |mu| >= 1: no mixing")
         return gaps
 
+    def stationary_modes(self, cov) -> np.ndarray:
+        """M_ij = (U_d^T C U_d)_ij / (1 - mu_i mu_j) for the deviation
+        modes i, j >= 2 (columns U_d of U) of xbar(k+1) = P xbar(k) + z(k)
+        with Cov[z] = C = cov (Xiao, Boyd & Kim 2007). U_d M U_d^T is the
+        stationary covariance of the deviation from the network mean and
+        trace(M) / N the exact e_ss. 1 - mu_i mu_j is g_i + g_j - g_i g_j
+        for g = gamma * lambda, mode_gaps on the diagonal, so nothing
+        cancels."""
+        u = self.graph.spectrum[1][:, 1:]
+        g = self.gamma * self.graph.spectrum[0][1:]
+        gaps = g[:, None] + g[None, :] - np.outer(g, g)
+        np.fill_diagonal(gaps, self.mode_gaps)
+        return (u.T @ cov @ u) / gaps
+
 
 def build_perron(g: WeightedGraph, gamma: float) -> PerronMatrix:
     """Build P = I - gamma*L(G) and verify it is doubly stochastic.

@@ -26,7 +26,6 @@ import numpy as np
 from dpformation.dynamics import (
     TILE_TRIALS,
     TrialEnsemble,
-    _stationary_covariance,
     estimate_ess,
     noise_covariance,
     noise_gain,
@@ -57,10 +56,11 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
     # the network law: independent z_i of variance sum_j G_ij^2 sigma_j^2
     z_scale = np.sqrt(gain**2 @ sigmas**2)
     if stationary:
-        # the deviation ~ N(0, S); root is S's symmetric square root
-        cov = _stationary_covariance(
-            p, noise_covariance(p, sigmas, noise_model))
-        lam, u = np.linalg.eigh(cov)
+        # the deviation ~ N(0, S) with S = U_d M U_d^T in the deviation
+        # modes; root is S's symmetric square root
+        ud = p.graph.spectrum[1][:, 1:]
+        modes = p.stationary_modes(noise_covariance(p, sigmas, noise_model))
+        lam, u = np.linalg.eigh(ud @ modes @ ud.T)
         root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T
 
     def run_tile(t_lo, t_hi):

@@ -3,6 +3,7 @@ import pytest
 
 from dpformation import (
     NumericalError,
+    PerronMatrix,
     StepSizeTooLarge,
     WeightedGraph,
     algebraic_connectivity,
@@ -275,3 +276,26 @@ class TestSpectralCore:
         mu = np.sort(np.linalg.eigvalsh(p.matrix))[::-1][1:]
         assert np.allclose(np.sort(p.mode_gaps), np.sort(1 - mu**2),
                            rtol=1e-10)
+
+    def test_stationary_modes_divide_by_one_minus_mu_i_mu_j(self):
+        # P has negative eigenvalues at gamma near 1 / d_max
+        g = random_connected_graph(7, np.random.default_rng(11))
+        p = build_perron(g, 0.95 / max_degree(g))
+        c = np.diag(np.linspace(0.5, 2.0, 7))
+        mu, u = np.linalg.eigh(p.matrix)
+        mu, u = mu[::-1][1:], u[:, ::-1][:, 1:]
+        want = (u.T @ c @ u) / (1.0 - np.outer(mu, mu))
+        got = p.stationary_modes(c)
+        # eigenvector signs are arbitrary: compare |M_ij| and the diagonal
+        assert np.allclose(np.abs(got), np.abs(want), rtol=1e-9, atol=0)
+        assert np.array_equal(np.diag(got),
+                              np.diag(p.graph.spectrum[1][:, 1:].T @ c
+                                      @ p.graph.spectrum[1][:, 1:])
+                              / p.mode_gaps)
+
+    def test_stationary_modes_refuse_a_mode_that_does_not_mix(self):
+        # gamma * lambda_max = 2 puts mu = -1 on the line's top mode
+        g = build_standard_topology("line", 2, 1.0)
+        p = PerronMatrix(np.eye(2) - 1.0 * g.laplacian, 1.0, g)
+        with pytest.raises(NumericalError, match="no mixing"):
+            p.stationary_modes(np.eye(2))

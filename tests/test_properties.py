@@ -24,11 +24,7 @@ from dpformation import (
     theorem1_bound,
     trial_rngs,
 )
-from dpformation.dynamics import (
-    TILE_TRIALS,
-    _agent_sum,
-    _stationary_covariance,
-)
+from dpformation.dynamics import TILE_TRIALS, _agent_sum
 from graph_reference import max_degree, random_connected_graph
 from lyapunov_reference import iterative_ess_oracle
 from mc_reference import trial_rng
@@ -110,14 +106,15 @@ def test_threshold_bound_round_trip(log_e_r, n, log_delta, b, gamma, frac):
 @SETTINGS
 @given(configs())
 def test_stationary_covariance_solves_the_lyapunov_equation(cfg):
-    # S = P S P + Pi Q Pi with Pi = I - 11^T / N, the fixed point of one
-    # step of the deviation's covariance, and trace(S) / N = e_ss, for
-    # both laws
+    # S = U_d M U_d^T from the deviation modes solves S = P S P + Pi Q Pi
+    # with Pi = I - 11^T / N, the fixed point of one step of the
+    # deviation's covariance, and trace(S) / N = e_ss, for both laws
     _, p, _, sigmas = cfg
     pi = np.eye(p.n) - 1.0 / p.n
+    ud = p.graph.spectrum[1][:, 1:]
     for model in ("network", "protocol"):
         q = noise_covariance(p, sigmas, model)
-        s = _stationary_covariance(p, q)
+        s = ud @ p.stationary_modes(q) @ ud.T
         step = p.matrix @ s @ p.matrix + pi @ q @ pi
         assert np.abs(step - s).max() <= 1e-12 * np.abs(s).max(), model
         exact = exact_ess_oracle(p, q)
