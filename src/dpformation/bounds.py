@@ -59,6 +59,7 @@ def _prefactor(n_agents: int, gamma: float, lambda2):
     denominator is positive. The one check of N and lambda2."""
     if n_agents < 2:
         raise ValueError(f"need at least 2 agents, got {n_agents}")
+    graphs.check_float_agents(n_agents)
     graphs.check_gamma(gamma)
     lam2 = np.asarray(lambda2, dtype=float)
     ok = (lam2 > 0) & (lam2 < 2.0 / gamma)
@@ -78,7 +79,10 @@ def corollary1_bound(epsilon, lambda2, *, n_agents: int, gamma: float,
     """
     privacy.check_radius(b)
     kap = privacy.kappa(delta, epsilon)
-    out = _prefactor(n_agents, gamma, lambda2) * (b * b * (kap * kap))
+    with np.errstate(over="ignore"):  # check_finite names an overflow
+        out = _prefactor(n_agents, gamma, lambda2) * (b * b * (kap * kap))
+    graphs.check_finite(out, "the bound", epsilon=epsilon, lambda2=lambda2,
+                        n_agents=n_agents, gamma=gamma, b=b, delta=delta)
     return out if out.ndim else float(out)
 
 
@@ -103,14 +107,24 @@ def epsilon_threshold_numeric(lambda2: float, *, gamma: float, delta: float,
     meets e_r at kappa* = sqrt(e_r / (b^2 C)); inverting
     K + sqrt(K^2 + 2 eps) = 2 eps kappa gives the exact threshold
     eps* = (1 + 2 kappa* K) / (2 kappa*^2), positive for every finite
-    e_r > 0.
+    e_r > 0 in exact arithmetic. Where floats cannot hold kappa*^2 or
+    eps*, NumericalError names the inputs.
     """
     if not (e_r > 0 and math.isfinite(e_r)):
         raise ValueError(f"e_r must be positive and finite, got {e_r}")
     privacy.check_radius(b)
     k = privacy.q_inverse(delta)
-    kap = math.sqrt(e_r / (b * b * _prefactor(n_agents, gamma, lambda2)))
-    return (1.0 + 2.0 * kap * k) / (2.0 * kap * kap)
+    c = float(_prefactor(n_agents, gamma, lambda2))
+    try:
+        kap = math.sqrt(e_r / (b * b * c))
+        eps = (1.0 + 2.0 * kap * k) / (2.0 * kap * kap)
+    except ZeroDivisionError:  # b * b * c or kap * kap underflowed to 0
+        eps = math.nan
+    # kap * kap overflowing to inf leaves eps = 0, no threshold either
+    graphs.check_finite(eps if eps > 0 else math.nan, "the minimum epsilon",
+                        lambda2=lambda2, gamma=gamma, delta=delta, b=b,
+                        n_agents=n_agents, e_r=e_r)
+    return eps
 
 
 def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
@@ -128,30 +142,37 @@ def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
     privacy.check_radius(b)
     graphs.check_gamma(gamma)
     k = privacy.q_inverse(delta)
-    if kind == "impossibility":
-        if lambda2 is None:
-            raise ValueError("impossibility form requires lambda2")
-        z1 = gamma * (n - 1) ** 2 / (2.0 - gamma * lambda2)
-        return (2.0 * b * z1 / (n * e_r * lambda2)) * (
-            b + e_r * k * lambda2 * n / math.sqrt(e_r * z1 * lambda2 * n))
-    if kind == "complete":
-        return (2.0 * b * gamma * (n - 1) ** 2
-                / (n**2 * e_r * w * (2.0 - gamma * w * n))) * (
-            b + e_r * k * w * n * math.sqrt(2.0 - gamma * w * n)
-            / ((n - 1) * math.sqrt(e_r * gamma * w)))
-    if kind in ("cycle", "line"):
-        # lambda2 = 2 w c: c = 1 - cos(2 pi / n) for the cycle and
-        # 1 - cos(pi / n) for the line; the paper's z2 and z3
-        c = 1.0 - math.cos((2.0 if kind == "cycle" else 1.0) * math.pi / n)
-        z = (n - 1) ** 2 * gamma / (1.0 - gamma * w * c)
-        return (b * z / (n * e_r * 2.0 * w * c)
-                + k / math.sqrt(z * e_r * w * c * n))
-    if kind == "star":
-        return (2.0 * b * gamma * (n - 1) ** 2
-                / (n * e_r * w * (2.0 - gamma * w))) * (
-            b + e_r * k * w * n * math.sqrt(2.0 - gamma * w)
-            / ((n - 1) * math.sqrt(e_r * gamma * w * n)))
-    raise ValueError(f"unknown threshold kind {kind!r}")
+    if kind not in ("impossibility", *TABLE1_KINDS):
+        raise ValueError(f"unknown threshold kind {kind!r}")
+    if kind == "impossibility" and lambda2 is None:
+        raise ValueError("impossibility form requires lambda2")
+    try:
+        if kind == "impossibility":
+            z1 = gamma * (n - 1) ** 2 / (2.0 - gamma * lambda2)
+            eps = (2.0 * b * z1 / (n * e_r * lambda2)) * (
+                b + e_r * k * lambda2 * n / math.sqrt(e_r * z1 * lambda2 * n))
+        elif kind == "complete":
+            eps = (2.0 * b * gamma * (n - 1) ** 2
+                   / (n**2 * e_r * w * (2.0 - gamma * w * n))) * (
+                b + e_r * k * w * n * math.sqrt(2.0 - gamma * w * n)
+                / ((n - 1) * math.sqrt(e_r * gamma * w)))
+        elif kind in ("cycle", "line"):
+            # lambda2 = 2 w c: c = 1 - cos(2 pi / n) for the cycle and
+            # 1 - cos(pi / n) for the line; the paper's z2 and z3
+            c = 1.0 - math.cos((2.0 if kind == "cycle" else 1.0) * math.pi / n)
+            z = (n - 1) ** 2 * gamma / (1.0 - gamma * w * c)
+            eps = (b * z / (n * e_r * 2.0 * w * c)
+                   + k / math.sqrt(z * e_r * w * c * n))
+        else:
+            eps = (2.0 * b * gamma * (n - 1) ** 2
+                   / (n * e_r * w * (2.0 - gamma * w))) * (
+                b + e_r * k * w * n * math.sqrt(2.0 - gamma * w)
+                / ((n - 1) * math.sqrt(e_r * gamma * w * n)))
+    except ArithmeticError:  # a division by zero or an int overflow
+        eps = math.nan
+    graphs.check_finite(eps, f"the published {kind} threshold", n=n,
+                        gamma=gamma, delta=delta, b=b, w=w, e_r=e_r)
+    return eps
 
 
 TABLE1_KINDS = ("complete", "cycle", "line", "star")

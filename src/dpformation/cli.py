@@ -81,6 +81,16 @@ def _write_csv(path, header, columns) -> None:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
+def _make_out_dir(path) -> None:
+    """Create the output directory before any output, so that a path that
+    cannot be one fails first, as a validation error naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {path}: "
+                         f"{exc.strerror}") from None
+
+
 def _per_dimension_runs(cfg: config.RunConfig, p, sigmas, jobs):
     """One scalar Monte Carlo run per formation dimension.
 
@@ -112,14 +122,16 @@ def cmd_simulate(args) -> int:
     p = graphs.build_perron(cfg.graph, cfg.gamma)
     sigmas = np.zeros(cfg.graph.n) if args.noiseless else cfg.sigmas
     jobs = args.jobs or os.cpu_count() or 1
+    if jobs < 1:  # run_trials' check, before the output directory is made
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     bound = bounds.theorem1_bound(p, cfg.privacy_params)
     exact = bounds.exact_ess_oracle(
         p, dynamics.noise_covariance(p, sigmas, "protocol"))
+    _make_out_dir(args.out)
     runs = _per_dimension_runs(cfg, p, sigmas, jobs)
     print(f"per-dimension e_ss upper bound: {_fmt(bound)}")
     print(f"exact per-dimension e_ss:       {_fmt(exact)}")
-    os.makedirs(args.out, exist_ok=True)
 
     h, n, d = cfg.horizon + 1, cfg.graph.n, len(runs)
     dims = np.arange(1, d + 1)
@@ -152,8 +164,11 @@ def cmd_simulate(args) -> int:
 def cmd_design(args) -> int:
     prm = dict(delta=args.delta, b=args.b, w=args.w, gamma=args.gamma,
                e_r=args.e_r)
+    cells = (bounds.reproduce_table1(**prm) if args.table1
+             else [bounds.threshold_cell(args.kind, args.n, **prm)])
+    if args.out:
+        _make_out_dir(args.out)
     if args.table1:
-        cells = bounds.reproduce_table1(**prm)
         print(f"{'graph':>10} {'N':>7} {'numeric':>14} {'closed form':>14} "
               f"{'deviation':>10}")
         for c in cells:
@@ -161,8 +176,7 @@ def cmd_design(args) -> int:
                   f"{_fmt(c.closed_form):>14} "
                   f"{c.relative_deviation:>10.2%}")
     else:
-        c = bounds.threshold_cell(args.kind, args.n, **prm)
-        cells = [c]
+        c = cells[0]
         print(f"{c.kind} graph, N={c.n}, lambda2={_fmt(c.lambda2)}")
         print(f"minimum epsilon (numeric, authoritative): {_fmt(c.numeric)}")
         print(f"published closed form:                    "
@@ -170,7 +184,6 @@ def cmd_design(args) -> int:
         print(f"relative deviation:                       "
               f"{c.relative_deviation:.2%}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write_csv(os.path.join(args.out, "thresholds.csv"),
                    ["graph", "n", "epsilon_numeric", "epsilon_closed_form"],
                    [[c.kind for c in cells], [c.n for c in cells],
@@ -192,7 +205,7 @@ def cmd_sweep(args) -> int:
     grid = bounds.corollary1_bound(eps[:, None], lam2[None, :],
                                    n_agents=args.n, gamma=args.gamma,
                                    b=args.b, delta=args.delta)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     path = os.path.join(args.out, "surface.csv")
     _write_csv(path, ["epsilon", "lambda2", "bound"],
                [np.repeat(eps, len(lam2)), np.tile(lam2, len(eps)),
@@ -271,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     des.add_argument("--n", type=int, default=10)
     des.add_argument("--delta", type=float, default=0.01)
     des.add_argument("--b", type=float, default=5.0)
-    des.add_argument("--w", type=float, default=1.0)
+    des.add_argument("--w", type=float, default=1.0,
+                     help="uniform edge weight (default: 1); the threshold "
+                     "inverts Theorem 1, which assumes w <= 1")
     des.add_argument("--gamma", type=float, default=1e-4)
     des.add_argument("--e-r", dest="e_r", type=float, default=100.0)
     des.add_argument("--table1", action="store_true",
@@ -315,7 +330,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and StepSizeTooLarge included
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (graphs.NumericalError, OverflowError) as exc:
+    except (graphs.NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

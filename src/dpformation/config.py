@@ -166,8 +166,17 @@ def from_mapping(data: dict) -> RunConfig:
 
 
 def load(path) -> RunConfig:
-    with open(path) as fh:
-        data = yaml.load(fh, Loader=_LOADER)
+    """The RunConfig in the YAML file at path; a file that cannot be read
+    or parsed is a ConfigError naming the path."""
+    try:
+        with open(path) as fh:
+            data = yaml.load(fh, Loader=_LOADER)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{exc.strerror}") from None
+    except (UnicodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"config file {path} is not valid YAML: "
+                          f"{exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a mapping")
     return from_mapping(data)

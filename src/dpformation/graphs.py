@@ -8,6 +8,7 @@ few hundred for simulation and a few thousand for closed-form work.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,7 +21,28 @@ class StepSizeTooLarge(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Raised when an eigenvalue computation cannot be trusted."""
+    """Raised when an eigenvalue computation cannot be trusted, or a result
+    leaves the float range."""
+
+
+def check_finite(value, what: str, **inputs) -> None:
+    """Raise NumericalError unless every entry of value is finite, so that
+    no nan or +-inf is handed on as a result. The message names what was
+    computed and the inputs, broadcast to value's shape, at the first
+    entry that is not finite."""
+    value = np.asarray(value, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(value))
+    if bad.size:
+        at = ", ".join(f"{k}={np.broadcast_to(v, value.shape).flat[bad[0]]}"
+                       for k, v in inputs.items())
+        raise NumericalError(f"no finite value of {what} at {at}")
+
+
+def check_float_agents(n: int) -> None:
+    """Raise NumericalError when the agent count n is too large for a
+    float, which the closed forms in N need."""
+    if n > sys.float_info.max:
+        raise NumericalError(f"n = {n} agents is too large for a float")
 
 
 @dataclass(frozen=True)
@@ -126,6 +148,7 @@ def _check_topology(kind: str, n: int, w: float) -> None:
     if n < _MIN_AGENTS[kind]:
         raise ValueError(f"a {kind} topology needs n >= {_MIN_AGENTS[kind]} "
                          f"agents, got {n}")
+    check_float_agents(n)
     if not (w > 0 and math.isfinite(w)):
         raise ValueError(f"w must be positive and finite, got {w}")
 

@@ -33,16 +33,24 @@ def theorem3_thresholds(epsilon: float, delta: float,
 
     Evaluates the published alpha, eta1, eta2 and the two cutoffs
     lambda2 > eta1 - sqrt(rad + alpha) and lambda2 < eta2 - sqrt(-rad + alpha)
-    literally. Raises on a negative radicand.
+    literally. Raises on a negative radicand, and NumericalError naming
+    the inputs where a float cannot hold a term (epsilon^2, 1/gamma^2).
     """
     graphs.check_gamma(gamma)
     k = privacy.q_inverse(delta)
-    alpha = (epsilon**2 + 1.5 * epsilon * k**2 + 1.0 / gamma**2 + k**4 / 2.0)
-    s = math.sqrt(2.0 * epsilon * k**2 + k**4)
-    mid = (2.0 * epsilon * gamma + gamma * k**2 + 2.0) / (2.0 * gamma)
+    try:
+        alpha = (epsilon**2 + 1.5 * epsilon * k**2 + 1.0 / gamma**2
+                 + k**4 / 2.0)
+        s = math.sqrt(2.0 * epsilon * k**2 + k**4)
+        mid = (2.0 * epsilon * gamma + gamma * k**2 + 2.0) / (2.0 * gamma)
+        rad = k**2 * (4.0 * epsilon**2 + 4.0 * epsilon * k**2 + k**4) / (
+            2.0 * s)
+    except ArithmeticError:  # an overflowing ** or a zero gamma**2
+        alpha = mid = rad = s = math.nan
     eta1 = mid + 0.5 * s
     eta2 = mid - 0.5 * s
-    rad = k**2 * (4.0 * epsilon**2 + 4.0 * epsilon * k**2 + k**4) / (2.0 * s)
+    graphs.check_finite([alpha, eta1, eta2, rad], "the Theorem-3 cutoffs",
+                        epsilon=epsilon, delta=delta, gamma=gamma)
     if alpha + rad < 0 or alpha - rad < 0:
         raise ValueError("negative radicand in cutoff expression")
     return CutoffReport(lower_cut=eta2 - math.sqrt(alpha - rad),
@@ -77,6 +85,9 @@ def sensitivity_compare(epsilon: float, lambda2: float, *, n_agents: int,
     1/gamma and -1 at 2/gamma, so its one root in (0, 2/gamma) lies in
     (0, 1/gamma), and topology dominates iff lambda2 is below it:
     2 / (gamma + 2u + sqrt(gamma^2 + 4u^2)), a sum of positive terms.
+
+    Raises NumericalError naming the inputs where a float cannot hold the
+    bound, a partial, the cutoff or a published cutoff term.
     """
     bound = bounds.corollary1_bound(epsilon, lambda2, n_agents=n_agents,
                                     gamma=gamma, b=b, delta=delta)
@@ -86,11 +97,15 @@ def sensitivity_compare(epsilon: float, lambda2: float, *, n_agents: int,
     de = 2.0 * bound * (1.0 / aux - 1.0 / epsilon)
     dl = bound * (gamma / (2.0 - gamma * lambda2) - 1.0 / lambda2)
     u = 1.0 / epsilon - 1.0 / aux
+    cutoff = 2.0 / (gamma + 2.0 * u + math.hypot(gamma, 2.0 * u))
+    graphs.check_finite([de, dl, cutoff], "the sensitivity report",
+                        epsilon=epsilon, lambda2=lambda2, n_agents=n_agents,
+                        gamma=gamma, b=b, delta=delta)
     return SensitivityReport(
         d_epsilon=de,
         d_lambda2=dl,
         verdict="topology_dominant" if dl < de else "epsilon_dominant",
-        exact_cutoff=2.0 / (gamma + 2.0 * u + math.hypot(gamma, 2.0 * u)),
+        exact_cutoff=cutoff,
         cutoffs=theorem3_thresholds(epsilon, delta, gamma),
         in_valid_region=0.0 < lambda2 < 1.0 / gamma,
     )

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dpformation import (
+    NumericalError,
     PrivacyParams,
     WeightedGraph,
     algebraic_connectivity,
@@ -156,6 +158,16 @@ class TestTheorem1Bound:
                               [params] * 8) == pytest.approx(expected,
                                                              rel=1e-10)
 
+    @pytest.mark.xfail(strict=True, reason="Theorem 1 assumes edge weights "
+                       "w_ij <= 1; with w = 2 the exact e_ss is w^2 = 4 "
+                       "times the bound (ROADMAP item 1)")
+    def test_holds_on_complete_graph_with_weight_two(self):
+        g = build_standard_topology("complete", 4, 2.0)
+        p = build_perron(g, 0.05)
+        params = [PrivacyParams(0.5, 0.01, 1.0)] * 4
+        cov = noise_covariance(p, noise_scale(params[0]), "network")
+        assert exact_ess_oracle(p, cov) <= theorem1_bound(p, params)
+
     @pytest.mark.parametrize("count", [1, 4, 6])
     def test_needs_one_entry_per_agent(self, count):
         p = build_perron(build_standard_topology("star", 5, 1.0), 0.2)
@@ -202,6 +214,19 @@ class TestEpsilonThreshold:
                 topology_lambda2(c.kind, c.n, 1.0), gamma=1e-4, delta=0.01,
                 b=5.0, n_agents=c.n, e_r=100.0)
             assert abs(c.numeric - ref) <= 1e-13 * ref, (c.kind, c.n)
+
+    @pytest.mark.parametrize("kw, named", [
+        (dict(gamma=1e-320), "gamma=1e-320"),    # kappa* = inf, eps* = nan
+        (dict(b=1e200), "b=1e+200"),             # kappa* = 0
+        (dict(e_r=1e-320), "e_r=1e-320"),        # eps* = inf
+        (dict(b=1e-10, e_r=1e300), "b=1e-10")],  # kappa*^2 = inf, eps* = 0
+        ids=["nan", "zero-division", "inf", "zero"])
+    def test_no_finite_positive_threshold_raises(self, kw, named):
+        # each used to return nan, inf or 0.0, or raise ZeroDivisionError
+        prm = dict(gamma=1e-4, delta=0.01, b=5.0, n_agents=10, e_r=100.0)
+        with pytest.raises(NumericalError,
+                           match="the minimum epsilon at .*" + re.escape(named)):
+            epsilon_threshold_numeric(10.0, **{**prm, **kw})
 
     def test_invalid_target(self):
         for n, e_r in [(10, -1.0), (10, math.nan), (10, math.inf),

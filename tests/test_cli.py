@@ -566,21 +566,93 @@ def test_lambda2_error_names_value_and_limit(tmp_path, capsys, argv, limit,
 OVERFLOW_N = "1" + "0" * 400
 
 
-@pytest.mark.parametrize("argv", [
-    ["sensitivity", "--epsilon", "1e200", "--lambda2", "2"],
-    ["design", "--n", OVERFLOW_N],
-    ["sweep", "--n", OVERFLOW_N],
-    ["sensitivity", "--epsilon", "0.5", "--lambda2", "2", "--n", OVERFLOW_N],
-], ids=["sensitivity-epsilon", "design-n", "sweep-n", "sensitivity-n"])
-def test_overflow_exits_3(tmp_path, capsys, argv):
-    # an OverflowError (epsilon**2 in the literal cutoffs, or an integer
-    # too large for a float) used to escape as a traceback with exit 1
+@pytest.mark.parametrize("argv, named", [
+    (["sensitivity", "--epsilon", "1e200", "--lambda2", "2"],
+     "epsilon=1e+200"),
+    (["design", "--n", OVERFLOW_N], f"n = {OVERFLOW_N} agents"),
+    (["sweep", "--n", OVERFLOW_N], f"n = {OVERFLOW_N} agents"),
+    (["sensitivity", "--epsilon", "0.5", "--lambda2", "2", "--n", OVERFLOW_N],
+     f"n = {OVERFLOW_N} agents"),
+    (["design", "--b", "1e200"], "b=1e+200"),
+    (["design", "--e-r", "1e-320"], "e_r=1e-320"),
+    (["sensitivity", "--epsilon", "0.5", "--lambda2", "2", "--gamma",
+      "1e-320"], "gamma=1e-320"),
+], ids=["sensitivity-epsilon", "design-n", "sweep-n", "sensitivity-n",
+        "design-b", "design-e-r", "sensitivity-gamma"])
+def test_overflow_exits_3(tmp_path, capsys, argv, named):
+    # an ArithmeticError (epsilon**2 or 1/gamma**2 in the literal cutoffs,
+    # a division by kappa*^2 = 0, or an integer too large for a float)
+    # used to escape as a traceback with exit 1, or to exit 3 with Python's
+    # message alone, which names no input
     out = ["--out", str(tmp_path)] if argv[0] != "sensitivity" else []
     code, text, err = run(capsys, *argv, *out)
     assert code == 3
     assert err.startswith("numerical failure: ")
+    assert named in err
     assert text == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["design", "--gamma", "1e-320"], "the minimum epsilon at"),
+    (["design", "--gamma", "1e-320", "--table1"], "the minimum epsilon at"),
+    (["design", "--gamma", "1e-300", "--e-r", "1e-30"],
+     "the published complete threshold at"),
+    (["sensitivity", "--epsilon", "1e-300", "--lambda2", "2"],
+     "the bound at epsilon=1e-300"),
+    (["sweep", "--eps-min", "1e-300"], "the bound at epsilon=1e-300"),
+], ids=["design", "design-table1", "design-closed-form", "sensitivity",
+        "sweep"])
+def test_non_finite_result_exits_3(tmp_path, capsys, argv, named):
+    # design used to print nan thresholds (all 16 with --table1) and exit
+    # 0, or fail on a ZeroDivisionError in the published form; sensitivity
+    # printed two -inf partials and a verdict; sweep wrote inf bounds
+    out = ["--out", str(tmp_path)] if argv[0] != "sensitivity" else []
+    code, text, err = run(capsys, *argv, *out)
+    assert code == 3
+    assert err.startswith(f"numerical failure: no finite value of {named}")
+    assert text == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+@pytest.mark.parametrize("case", ["missing", "directory", "yaml-syntax"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, case):
+    # each used to end in a traceback with exit 1
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "bad.yaml").write_text("graph: {kind: star, n: 5\n")
+    cfg = tmp_path / {"missing": "none.yaml", "directory": "dir",
+                      "yaml-syntax": "bad.yaml"}[case]
+    out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+    code, text, err = run(capsys, command, "--config", str(cfg), *out)
+    assert code == 2
+    assert err.startswith("validation error: ")
+    assert f"config file {cfg}" in err
+    assert text == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--trials", "5"], ["design"],
+                                  ["design", "--table1"], ["sweep"]],
+                         ids=["simulate", "design", "design-table1", "sweep"])
+def test_uncreatable_out_exits_2_before_any_work(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    # simulate used to run the whole Monte Carlo and print its results,
+    # and design its thresholds, before failing with NotADirectoryError
+    # (exit 1); sweep failed the same way
+    from dpformation import dynamics
+
+    def no_monte_carlo(*args, **kw):
+        raise AssertionError("the Monte Carlo ran")
+
+    monkeypatch.setattr(dynamics, "run_trials", no_monte_carlo)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"
+    code, text, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert f"cannot create output directory {out}: " in err
+    assert text == ""
 
 
 class TestBoundsCommand:

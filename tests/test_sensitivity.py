@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpformation import (
+    NumericalError,
     corollary1_bound,
     sensitivity_compare,
     theorem3_thresholds,
@@ -165,3 +168,17 @@ def test_exact_cutoff_splits_the_verdict(gamma, delta, epsilon, where, near):
     rep = sensitivity_compare(epsilon, lam2, **kw)
     assert rep.exact_cutoff == cut
     assert (rep.verdict == "topology_dominant") == (lam2 < cut)
+
+
+@pytest.mark.parametrize("point, what, named", [
+    (make_point(epsilon=1e-300, lambda2=2.0), "the bound", "epsilon=1e-300"),
+    (make_point(epsilon=1e200, lambda2=2.0), "the Theorem-3 cutoffs",
+     "epsilon=1e+200"),
+    (make_point(epsilon=0.5, lambda2=2.0, gamma=1e-320),
+     "the Theorem-3 cutoffs", "gamma=1e-320")],
+    ids=["bound-inf", "epsilon-squared", "gamma-squared"])
+def test_no_finite_report_raises(point, what, named):
+    # the first used to report two -inf partials and a verdict, the others
+    # raised OverflowError and ZeroDivisionError naming no input
+    with pytest.raises(NumericalError, match=f"{what} at .*" + re.escape(named)):
+        sensitivity_compare(**point)
