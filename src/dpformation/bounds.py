@@ -114,6 +114,7 @@ def epsilon_threshold_numeric(lambda2: float, *, gamma: float, delta: float,
         raise ValueError(f"e_r must be positive and finite, got {e_r}")
     privacy.check_radius(b)
     k = privacy.q_inverse(delta)
+    # a Python float: a zero divisor raises, an overflow is inf unwarned
     c = float(_prefactor(n_agents, gamma, lambda2))
     try:
         kap = math.sqrt(e_r / (b * b * c))

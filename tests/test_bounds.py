@@ -224,8 +224,8 @@ class TestEpsilonThreshold:
     def test_no_finite_positive_threshold_raises(self, kw, named):
         # each used to return nan, inf or 0.0, or raise ZeroDivisionError
         prm = dict(gamma=1e-4, delta=0.01, b=5.0, n_agents=10, e_r=100.0)
-        with pytest.raises(NumericalError,
-                           match="the minimum epsilon at .*" + re.escape(named)):
+        match = "the minimum epsilon at .*" + re.escape(named)
+        with pytest.raises(NumericalError, match=match):
             epsilon_threshold_numeric(10.0, **{**prm, **kw})
 
     def test_invalid_target(self):

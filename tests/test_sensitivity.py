@@ -180,5 +180,6 @@ def test_exact_cutoff_splits_the_verdict(gamma, delta, epsilon, where, near):
 def test_no_finite_report_raises(point, what, named):
     # the first used to report two -inf partials and a verdict, the others
     # raised OverflowError and ZeroDivisionError naming no input
-    with pytest.raises(NumericalError, match=f"{what} at .*" + re.escape(named)):
+    match = f"{what} at .*" + re.escape(named)
+    with pytest.raises(NumericalError, match=match):
         sensitivity_compare(**point)
