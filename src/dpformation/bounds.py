@@ -31,12 +31,17 @@ def exact_ess_oracle(p: PerronMatrix, cov) -> float:
 
     cov is the N x N matrix C = Cov[z] (dynamics.noise_covariance).
     Deviation mode i >= 2 settles at the variance M_ii of
-    p.stationary_modes(C), so e_ss = trace(M) / N.
+    p.stationary_modes(C), so e_ss = trace(M) / N. Where floats cannot
+    hold it, NumericalError names the largest variance in C.
     """
     c = np.asarray(cov, dtype=float)
     if c.shape != (p.n, p.n):
         raise ValueError(f"Cov[z] must be {p.n} x {p.n}, got shape {c.shape}")
-    return float(np.trace(p.stationary_modes(c)) / p.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        ess = float(np.trace(p.stationary_modes(c)) / p.n)
+    graphs.check_finite(ess, "the exact e_ss", n_agents=p.n, gamma=p.gamma,
+                        max_variance=c.diagonal().max())
+    return ess
 
 
 def lemma7_sandwich(p: PerronMatrix, z_diag) -> tuple:
@@ -90,13 +95,19 @@ def theorem1_bound(p: PerronMatrix, params) -> float:
     """Heterogeneous upper bound on e_ss.
 
     gamma * (N-1)^2 * max_i kappa_i^2 b_i^2 / (N lambda2 (2 - gamma lambda2)).
-    params is a sequence of N PrivacyParams, one per agent.
+    params is a sequence of N PrivacyParams, one per agent. Where floats
+    cannot hold the bound, NumericalError names that agent's parameters.
     """
     if len(params) != p.n:
         raise ValueError(f"{len(params)} privacy entries for {p.n} agents")
-    worst = max(q.b * q.b * (q.kappa * q.kappa) for q in params)
+    # the agent with the largest b^2 kappa^2 sets the bound
+    q = max(params, key=lambda q: q.b * q.b * (q.kappa * q.kappa))
     lam2 = graphs.algebraic_connectivity(p.graph)
-    return float(_prefactor(p.n, p.gamma, lam2) * worst)
+    out = float(_prefactor(p.n, p.gamma, lam2)
+                * (q.b * q.b * (q.kappa * q.kappa)))
+    graphs.check_finite(out, "the bound", epsilon=q.epsilon, lambda2=lam2,
+                        n_agents=p.n, gamma=p.gamma, b=q.b, delta=q.delta)
+    return out
 
 
 def epsilon_threshold_numeric(lambda2: float, *, gamma: float, delta: float,

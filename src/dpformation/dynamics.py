@@ -292,11 +292,11 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         # trial-major, so each generator fills one contiguous run
         v = space[0][:size].reshape(count, block, n)
         draws = v.reshape(count, block * n)
-        # z[j] is the (count, n) perturbation of the block's step j
-        z = (v.transpose(1, 0, 2) if noise_model == "network"
-             else space[1][:size].reshape(block, count, n))
-        # x[0] carries the block's start
-        x = space[2][:size + count * n].reshape(block + 1, count, n)
+        # x[0] carries the block's start; x[j + 1] takes step j's
+        # perturbation, to which the recursion adds P x[j] from tmp, the
+        # head of v, spent once the perturbations are in x
+        x = space[1][:size + count * n].reshape(block + 1, count, n)
+        tmp = space[0][:count * n].reshape(count, n)
         if stationary:
             for i, g in enumerate(rngs):
                 g.standard_normal(out=x[1, i])
@@ -311,11 +311,11 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
             """out[j] = mean over agents of (states[j] - its mean)^2 for
             (rows, count, n) states, bit for bit as np.mean over agents.
 
-            Once the block's recursion has run, its noise in v is spent,
-            and so is x[1:], as x[0] carries the next block's start. v
-            takes an agent-major copy of the states, so every operation
-            after it runs on whole (rows, count) slabs, and x[1:] is
-            _agent_sum's scratch; the agent means wait in out until the
+            Once the block's recursion has run, v, its noise and products,
+            is spent, and so is x[1:], as x[0] carries the next block's
+            start. v takes an agent-major copy of the states, so every
+            operation after it runs on whole (rows, count) slabs, and x[1:]
+            is _agent_sum's scratch; the agent means wait in out until the
             second sum.
             """
             rows = len(states)
@@ -337,12 +337,13 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
             for i, g in enumerate(rngs):
                 g.standard_normal(out=v[i, :b])
             draws[:, :b * n] *= scale_row[:b * n]
-            if noise_model == "protocol":
-                # gain is symmetric
-                np.matmul(v[:, :b].transpose(1, 0, 2), gain, out=z[:b])
+            if noise_model == "protocol":  # gain is symmetric
+                np.matmul(v[:, :b].transpose(1, 0, 2), gain, out=x[1:b + 1])
+            else:
+                np.copyto(x[1:b + 1], v[:, :b].transpose(1, 0, 2))
             for j in range(b):
-                np.matmul(x[j], p.matrix, out=x[j + 1])  # P is symmetric
-                x[j + 1] += z[j]
+                np.matmul(x[j], p.matrix, out=tmp)  # P is symmetric
+                x[j + 1] += tmp
             if first:
                 traj[k0 + 1:k0 + b + 1] = x[1:b + 1, 0]
             x[0] = x[b]
@@ -357,12 +358,11 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     shares = [tiles[w::workers] for w in range(workers)]
 
     def buffers(share):
-        """Flat noise, mixed-noise and state buffers whose leading parts
-        every tile of a worker's share views."""
+        """Flat noise and state buffers whose leading parts every tile of a
+        worker's share views."""
         count = max(hi - lo for lo, hi in share)
         size = count * block * n
-        mixed = 0 if noise_model == "network" else size
-        return np.empty(size), np.empty(mixed), np.empty(size + count * n)
+        return np.empty(size), np.empty(size + count * n)
 
     def run_share(share, space):
         for tile in share:

@@ -105,7 +105,9 @@ def kappa(delta: float, epsilon):
     if not np.all((eps > 0) & np.isfinite(eps)):
         raise ValueError("epsilon must be positive and finite")
     k = q_inverse(delta)
-    out = (k + np.sqrt(k * k + 2.0 * eps)) / (2.0 * eps)
+    # inf for a subnormal eps; the bounds' check_finite names it
+    with np.errstate(over="ignore"):
+        out = (k + np.sqrt(k * k + 2.0 * eps)) / (2.0 * eps)
     return out if out.ndim else float(out)
 
 

@@ -27,6 +27,7 @@ from dpformation import (
     threshold_cell,
     topology_lambda2,
 )
+from dpformation.privacy import PrivacyRangeWarning
 from graph_reference import max_degree, random_connected_graph
 from mc_reference import check_interval_coverage
 from threshold_reference import brentq_epsilon_threshold
@@ -52,6 +53,17 @@ class TestExactOracle:
     def test_zero_noise(self):
         p = build_perron(build_standard_topology("star", 5, 1.0), 0.2)
         assert exact_ess_oracle(p, np.zeros((5, 5))) == 0.0
+
+    @pytest.mark.parametrize("scale, named", [
+        (1e308, "max_variance=1e+308"), (np.inf, "max_variance=inf"),
+        (np.nan, "max_variance=nan")], ids=["overflow", "inf", "nan"])
+    def test_non_finite_value_names_the_variance(self, scale, named):
+        # used to return inf or nan, with a numpy overflow warning
+        p = build_perron(build_standard_topology("cycle", 6, 1.0), 0.01)
+        with pytest.raises(NumericalError, match=re.escape(
+                "no finite value of the exact e_ss at n_agents=6, "
+                f"gamma=0.01, {named}")):
+            exact_ess_oracle(p, np.diag(np.full(6, scale)))
 
     @pytest.mark.parametrize("cov", [1.0, np.ones(5), np.eye(4)])
     def test_rejects_all_but_the_full_matrix(self, cov):
@@ -167,6 +179,17 @@ class TestTheorem1Bound:
         params = [PrivacyParams(0.5, 0.01, 1.0)] * 4
         cov = noise_covariance(p, noise_scale(params[0]), "network")
         assert exact_ess_oracle(p, cov) <= theorem1_bound(p, params)
+
+    def test_overflow_names_the_worst_agent(self):
+        # kappa^2 overflows at epsilon = 1e-300; the bound used to be inf
+        p = build_perron(build_standard_topology("star", 5, 1.0), 0.2)
+        with pytest.warns(PrivacyRangeWarning):
+            tiny = PrivacyParams(1e-300, 0.00135, 2.0)
+        params = [PrivacyParams(0.5, 0.01, 1.0)] * 4 + [tiny]
+        with pytest.raises(NumericalError, match=re.escape(
+                "no finite value of the bound at epsilon=1e-300, "
+                "lambda2=1.0, n_agents=5, gamma=0.2, b=2.0, delta=0.00135")):
+            theorem1_bound(p, params)
 
     @pytest.mark.parametrize("count", [1, 4, 6])
     def test_needs_one_entry_per_agent(self, count):

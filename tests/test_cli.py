@@ -601,18 +601,37 @@ def test_overflow_exits_3(tmp_path, capsys, argv, named):
     (["sensitivity", "--epsilon", "1e-300", "--lambda2", "2"],
      "the bound at epsilon=1e-300"),
     (["sweep", "--eps-min", "1e-300"], "the bound at epsilon=1e-300"),
+    (["sweep", "--eps-min", "1e-320"], "the bound at epsilon=1e-320"),
 ], ids=["design", "design-table1", "design-closed-form", "sensitivity",
-        "sweep"])
+        "sweep", "sweep-subnormal"])
 def test_non_finite_result_exits_3(tmp_path, capsys, argv, named):
     # design used to print nan thresholds (all 16 with --table1) and exit
     # 0, or fail on a ZeroDivisionError in the published form; sensitivity
-    # printed two -inf partials and a verdict; sweep wrote inf bounds
+    # printed two -inf partials and a verdict; sweep wrote inf bounds, and
+    # at a subnormal epsilon first warned of an overflow in kappa
     out = ["--out", str(tmp_path)] if argv[0] != "sensitivity" else []
     code, text, err = run(capsys, *argv, *out)
     assert code == 3
     assert err.startswith(f"numerical failure: no finite value of {named}")
     assert text == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+def test_config_bound_overflow_exits_3(tmp_path, capsys, command):
+    # kappa^2 overflows at epsilon = 1e-300: bounds used to print a nan
+    # oracle and sandwich and an inf bound, and simulate to write inf and
+    # nan rows, both exiting 0
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text(DEMO_CONFIG.replace("1.0986122886681098", "1.0e-300"))
+    out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+    with pytest.warns(PrivacyRangeWarning):
+        code, text, err = run(capsys, command, "--config", str(cfg), *out)
+    assert code == 3
+    assert err.startswith("numerical failure: no finite value of the bound "
+                          "at epsilon=1e-300, lambda2=1.0, n_agents=5")
+    assert text == ""
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "bounds"])
