@@ -27,7 +27,6 @@ from .dynamics import (
     noise_covariance,
     noise_gain,
     run_trials,
-    trial_rngs,
 )
 from .bounds import (
     BoundReport,

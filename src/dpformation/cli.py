@@ -94,9 +94,9 @@ def _make_out_dir(path) -> None:
 def _per_dimension_runs(cfg: config.RunConfig, p, sigmas, jobs):
     """One scalar Monte Carlo run per formation dimension.
 
-    Dimension l uses master key (seed, l); trial t within it uses
-    (seed, l, t). A scalar run seeded with (seed, l) therefore reproduces
-    dimension l of the full run exactly.
+    Dimension l uses master key (seed, l); run_trials' tile i within it
+    draws from key (seed, l, i). A scalar run seeded with (seed, l)
+    therefore reproduces dimension l of the full run exactly.
     """
     runs = []
     for l in range(cfg.anchors.shape[1]):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .graphs import PerronMatrix
 
@@ -48,160 +47,34 @@ def noise_covariance(p: PerronMatrix, sigmas, noise_model: str) -> np.ndarray:
     raise ValueError(f"unknown noise_model {noise_model!r}")
 
 
-# numpy's SeedSequence hash constants and pool size
-# (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-_M32 = 0xFFFFFFFF
+def tile_rng(master_seed, tile: int) -> np.random.Generator:
+    """The generator of run_trials' tile `tile`, which covers the trials
+    from tile * TILE_TRIALS.
 
-
-def _uint32_words(i: int) -> list:
-    """Little-endian 32-bit words of a non-negative int, [0] for 0, as
-    SeedSequence reads an entropy entry."""
-    if i < 0:
-        raise ValueError(f"seed key entries must be non-negative, got {i}")
-    words = [i & _M32]
-    while i > _M32:
-        i >>= 32
-        words.append(i & _M32)
-    return words
-
-
-class _PcgSeed(ISeedSequence):
-    """One trial's precomputed SeedSequence.generate_state(4, uint64),
-    handed to PCG64 through numpy's ISeedSequence interface."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("_PcgSeed only seeds PCG64")
-        return self.state
-
-
-def trial_rngs(master_seed, t_lo: int, t_hi: int) -> list:
-    """Independent generators for trials t_lo ... t_hi - 1.
-
-    Trial t gets the generator numpy's default_rng builds from a
-    SeedSequence with entropy (len(key),) + key, where
-    key = (master_seed, t) for an int master seed and
-    key = (*master_seed, t) for a sequence. The length prefix keeps
-    (5, 0) and (5, 0, 0) apart: SeedSequence pads short entropy with
-    zero words, so they would otherwise collide.
-
-    All trials share the key's leading words and differ in the last one,
-    so SeedSequence's pool mixing and generate_state run here once as
-    uint32 array operations over the trials; the hash constants advance
-    independently of the data. The generators draw exactly what numpy's
-    own SeedSequence would give them.
+    numpy's default_rng on a SeedSequence with entropy (len(key),) + key,
+    where key = (master_seed, tile) for an int master seed and
+    key = (*master_seed, tile) for a sequence. The length prefix keeps
+    (5, 0) and (5, 0, 0) apart: SeedSequence pads short entropy with zero
+    words, so they would otherwise collide. Key entries must be
+    non-negative.
     """
-    if not 0 <= t_lo <= t_hi <= 2**32:
-        raise ValueError(
-            f"trial range [{t_lo}, {t_hi}) must lie in [0, 2**32)")
     if isinstance(master_seed, (int, np.integer)):
-        key = (int(master_seed),)
+        key = (int(master_seed), tile)
     else:
-        key = tuple(int(s) for s in master_seed)
-    prefix = [w for i in (len(key) + 1,) + key for w in _uint32_words(i)]
-    count = t_hi - t_lo
-    entropy = np.empty((len(prefix) + 1, count), dtype=np.uint32)
-    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(t_lo, t_hi, dtype=np.uint64)  # one word each
-
-    hash_a = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ np.uint32(hash_a)
-        hash_a = hash_a * _MULT_A & _M32
-        value *= np.uint32(hash_a)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return r ^ (r >> np.uint32(16))
-
-    zero = np.zeros(count, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
-            for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, len(entropy)):
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-
-    # generate_state(4, uint64): 8 words cycling through the pool, paired
-    # little-endian into uint64
-    hash_b = _INIT_B
-    words = []
-    for i in range(8):
-        w = pool[i % _POOL] ^ np.uint32(hash_b)
-        hash_b = hash_b * _MULT_B & _M32
-        w *= np.uint32(hash_b)
-        words.append(w ^ (w >> np.uint32(16)))
-    low = np.stack(words[0::2], axis=1).astype(np.uint64)
-    high = np.stack(words[1::2], axis=1).astype(np.uint64)
-    state = high << np.uint64(32) | low
-    return [np.random.Generator(np.random.PCG64(_PcgSeed(row)))
-            for row in state]
+        key = tuple(int(s) for s in master_seed) + (tile,)
+    return np.random.default_rng(np.random.SeedSequence((len(key),) + key))
 
 
-# noise draws per trial per time block of run_trials: a block buffer takes
-# 8 KiB per trial, and a trial's generator is called once per block, so
-# short blocks would be dominated by the call overhead
+# time steps per block of run_trials, in noise draws per trial: a tile's
+# generator fills a block in one call and its mixing and reductions take
+# a few calls per block, so short blocks would be dominated by the call
+# overhead; a block buffer takes 8 KiB per trial
 BLOCK_DRAWS = 1024
 
 # trials per tile of run_trials: a tile's noise and state buffers take
 # TILE_TRIALS * BLOCK_DRAWS * 8 B = 2 MiB each, and the tiles, not the
-# worker threads, set which trials share a matrix product
+# worker threads, set which trials share a generator and a matrix product
 TILE_TRIALS = 256
-
-
-def _agent_sum(y: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
-    """out = the sum of y over axis 1, for y of shape (rows, m, cols).
-
-    Adds whole (rows, cols) slabs in the order in which numpy's pairwise
-    summation adds a contiguous run of m values, so out equals np.sum over
-    a copy of y with axis 1 innermost, bit for bit, except that a column of
-    negative zeros sums to -0.0 rather than 0.0. As in numpy: below 8
-    terms one after the other; up to 128, eight accumulators r_k over the
-    terms k, k+8, ..., combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
-    followed by the remainder; above 128, the sum of two halves split at a
-    multiple of 8. spare is a flat buffer of at least y.size floats and is
-    overwritten.
-    """
-    rows, m, cols = y.shape
-    if m < 8:
-        np.copyto(out, y[:, 0])
-        for i in range(1, m):
-            out += y[:, i]
-        return
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        _agent_sum(y[:, :half], out, spare)
-        rest = spare[:out.size].reshape(out.shape)
-        _agent_sum(y[:, half:], rest, spare[out.size:])
-        out += rest
-        return
-    tail = m - m % 8
-    r = spare[:rows * 8 * cols].reshape(rows, 8, cols)
-    # pair sums r0+r1, r2+r3, r4+r5, r6+r7 into the even accumulators
-    if m < 16:
-        np.add(y[:, 0:8:2], y[:, 1:8:2], out=r[:, 0::2])
-    else:
-        np.add(y[:, :8], y[:, 8:16], out=r)
-        for lo in range(16, tail, 8):
-            r += y[:, lo:lo + 8]
-        r[:, 0::2] += r[:, 1::2]
-    r[:, 0::4] += r[:, 2::4]
-    np.add(r[:, 0], r[:, 4], out=out)
-    for i in range(tail, m):
-        out += y[:, i]
 
 
 @dataclass(frozen=True)
@@ -234,17 +107,18 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
                stationary: bool = False) -> TrialEnsemble:
     """Simulate independent seeded trials of the private dynamics.
 
-    Trial t draws its noise from a generator keyed by (master_seed, t)
-    (trial_rngs). The trials are split into tiles of TILE_TRIALS, a last
-    lone trial joining the tile before it, and the tiles do not depend on
-    jobs: jobs >= 1 only caps the number of threads, at most one per tile,
-    and thread w runs tiles w, w + threads, ... in one set of buffers. So
-    every trial is a row of the same matrix products whatever jobs is, and
-    the results are the same bits.
+    Tile i holds the trials from i * TILE_TRIALS, a last lone trial joining
+    the tile before it, and draws from one generator,
+    tile_rng(master_seed, i). The tiles do not depend on jobs: jobs >= 1
+    only caps the number of threads, at most one per tile, and thread w
+    runs tiles w, w + threads, ... in one set of buffers. So every trial
+    draws the same noise and is a row of the same matrix products whatever
+    jobs is, and the results are the same bits.
     Each tile walks the horizon in time blocks of about BLOCK_DRAWS draws
-    per trial, refilling its buffers from the same generators block after
-    block; the draws, and so the results, are those of one whole-horizon
-    draw per trial, while memory stays O(horizon * trials) for the error
+    per trial, filling a step-major (steps, trials, N) block from its
+    generator block after block; the draws, and so the results, are those
+    of one (horizon, trials, N) draw per tile, so a shorter horizon is a
+    prefix of a longer one. Memory stays O(horizon * trials) for the error
     series plus O(TILE_TRIALS * BLOCK_DRAWS) per thread.
 
     noise_model, "protocol" or "network", selects the law of the state
@@ -252,10 +126,10 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
 
     stationary=True adds to the start xbar0 a deviation drawn from its
     stationary law N(0, S), S = U_d M U_d^T with M = p.stationary_modes
-    of Cov[z] and U_d the deviation eigenvectors: each trial first
-    draws N standard normals xi from its generator, before any noise, and
-    starts at xbar0 + F xi, with F the symmetric square root of S. With
-    stationary=False it starts at xbar0 and draws nothing more. Either
+    of Cov[z] and U_d the deviation eigenvectors: each tile first draws
+    its trials' (trials, N) standard normals xi, before any noise, and a
+    trial starts at xbar0 + F xi, with F the symmetric square root of S.
+    With stationary=False it starts at xbar0 and draws nothing more. Either
     way the squared-error series, its mean and standard error, and
     first_trajectory cover steps 0 ... horizon.
     """
@@ -282,24 +156,21 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T
 
     block = max(1, min(-(-BLOCK_DRAWS // n), horizon))
-    # one scale per draw of a trial's block row
-    scale_row = np.tile(scale, block)
+    # the agent mean as a matrix-vector product
+    avg = np.full(n, 1.0 / n)
 
     def run_tile(t_lo, t_hi, space):
         count = t_hi - t_lo
-        rngs = trial_rngs(master_seed, t_lo, t_hi)
+        rng = tile_rng(master_seed, t_lo // TILE_TRIALS)
         size = count * block * n
-        # trial-major, so each generator fills one contiguous run
-        v = space[0][:size].reshape(count, block, n)
-        draws = v.reshape(count, block * n)
+        noise = space[0][:size]
         # x[0] carries the block's start; x[j + 1] takes step j's
         # perturbation, to which the recursion adds P x[j] from tmp, the
-        # head of v, spent once the perturbations are in x
+        # head of the noise buffer, spent once the perturbations are in x
         x = space[1][:size + count * n].reshape(block + 1, count, n)
-        tmp = space[0][:count * n].reshape(count, n)
+        tmp = noise[:count * n].reshape(count, n)
         if stationary:
-            for i, g in enumerate(rngs):
-                g.standard_normal(out=x[1, i])
+            rng.standard_normal(out=x[1])
             np.matmul(x[1], root, out=x[0])  # root is symmetric
             x[0] += x0
         else:
@@ -309,38 +180,28 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
 
         def mean_square_error(states, out):
             """out[j] = mean over agents of (states[j] - its mean)^2 for
-            (rows, count, n) states, bit for bit as np.mean over agents.
-
-            Once the block's recursion has run, v, its noise and products,
-            is spent, and so is x[1:], as x[0] carries the next block's
-            start. v takes an agent-major copy of the states, so every
-            operation after it runs on whole (rows, count) slabs, and x[1:]
-            is _agent_sum's scratch; the agent means wait in out until the
-            second sum.
-            """
-            rows = len(states)
-            y = v.reshape(-1)[:rows * n * count].reshape(rows, n, count)
-            np.copyto(y, states.transpose(0, 2, 1))
-            spare = x[1:].reshape(-1)
-            _agent_sum(y, out, spare)
-            out /= n
-            np.subtract(y, out[:, None], out=y)
-            np.square(y, out=y)
-            _agent_sum(y, out, spare)
-            out /= n
+            (rows, count, n) states, as two matrix-vector products with
+            avg. The deviations go to the noise buffer, spent once the
+            block's recursion has run; the agent means wait in out."""
+            dev = noise[:states.size].reshape(states.shape)
+            np.matmul(states, avg, out=out)
+            np.subtract(states, out[..., None], out=dev)
+            np.square(dev, out=dev)
+            np.matmul(dev, avg, out=out)
 
         mean_square_error(x[:1], e_tile[:1])
         if first:
             traj[0] = x[0, 0]
         for k0 in range(0, horizon, block):
             b = min(block, horizon - k0)
-            for i, g in enumerate(rngs):
-                g.standard_normal(out=v[i, :b])
-            draws[:, :b * n] *= scale_row[:b * n]
+            # step-major, so the head is contiguous also for a short block
+            v = noise[:b * count * n].reshape(b, count, n)
+            rng.standard_normal(out=v)
+            v *= scale
             if noise_model == "protocol":  # gain is symmetric
-                np.matmul(v[:, :b].transpose(1, 0, 2), gain, out=x[1:b + 1])
+                np.matmul(v, gain, out=x[1:b + 1])
             else:
-                np.copyto(x[1:b + 1], v[:, :b].transpose(1, 0, 2))
+                np.copyto(x[1:b + 1], v)
             for j in range(b):
                 np.matmul(x[j], p.matrix, out=tmp)  # P is symmetric
                 x[j + 1] += tmp

@@ -134,13 +134,13 @@ class PrivacyParams:
             warnings.warn(
                 f"epsilon={self.epsilon:.4g} outside the customary range "
                 f"[{TYPICAL_EPS_LO}, ln 3]",
-                PrivacyRangeWarning, stacklevel=2,
+                PrivacyRangeWarning, stacklevel=3,
             )
         if self.delta > TYPICAL_DELTA_MAX:
             warnings.warn(
                 f"delta={self.delta:.4g} above the customary maximum "
                 f"{TYPICAL_DELTA_MAX}",
-                PrivacyRangeWarning, stacklevel=2,
+                PrivacyRangeWarning, stacklevel=3,
             )
 
     @cached_property

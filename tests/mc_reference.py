@@ -1,16 +1,14 @@
 """Cross-checks for the Monte Carlo kernel and its estimator.
 
-dynamics.run_trials works through the horizon in time blocks from
-persistent per-trial generators. whole_tensor_run_trials is the same
-computation written the direct way: draw each trial's whole (horizon, N)
-noise at once, mix the full (horizon, trials, N) tensor, and reduce one
-step at a time. With a stationary start it draws each trial's start
-xbar0 + F xi from N standard normals before the noise, as run_trials
-does. It needs 2 * 8 * horizon * trials * N bytes, so it lives next to
-the tests, not in the library.
-
-trial_rng seeds one trial through numpy's own SeedSequence, the keying
-that dynamics.trial_rngs reproduces with batched uint32 arithmetic.
+dynamics.run_trials works through the horizon in time blocks, each drawn
+step-major from its tile's generator. whole_tensor_run_trials is the same
+computation written the direct way: draw each tile's whole
+(horizon, trials, N) noise in one call from dynamics.tile_rng, mix the
+whole tensor, and reduce one step at a time with the same two
+matrix-vector products with the vector of 1/N. With a stationary start
+each tile first draws its trials' (trials, N) standard normals and starts
+at xbar0 + F xi, as run_trials does. It needs 2 * 8 * horizon * trials * N
+bytes, so it lives next to the tests, not in the library.
 
 window_mean_variance is the exact second moment of what estimate_ess
 averages, so the tests can check the spread of the simulated noise and not
@@ -29,18 +27,8 @@ from dpformation.dynamics import (
     estimate_ess,
     noise_covariance,
     noise_gain,
+    tile_rng,
 )
-
-
-def trial_rng(master_seed, trial: int) -> np.random.Generator:
-    """Independent generator for one trial, derived from the master seed."""
-    if isinstance(master_seed, (int, np.integer)):
-        key = (int(master_seed), trial)
-    else:
-        key = tuple(int(s) for s in master_seed) + (trial,)
-    # length prefix: SeedSequence entropy ignores trailing zero words, so
-    # (5, 0) and (5, 0, 0) would otherwise collide
-    return np.random.default_rng(np.random.SeedSequence((len(key),) + key))
 
 
 def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
@@ -63,15 +51,17 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
         lam, u = np.linalg.eigh(ud @ modes @ ud.T)
         root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T
 
+    avg = np.full(n, 1.0 / n)
+
+    def mean_square_error(x):
+        dev = x - (x @ avg)[:, None]
+        return (dev * dev) @ avg
+
     def run_tile(t_lo, t_hi):
         count = t_hi - t_lo
-        xi = np.empty((count, n))
-        v = np.empty((horizon, count, n))
-        for t in range(t_lo, t_hi):
-            rng = trial_rng(master_seed, t)
-            if stationary:
-                xi[t - t_lo] = rng.standard_normal(n)
-            v[:, t - t_lo, :] = rng.standard_normal((horizon, n))
+        rng = tile_rng(master_seed, t_lo // TILE_TRIALS)
+        xi = rng.standard_normal((count, n)) if stationary else None
+        v = rng.standard_normal((horizon, count, n))
         if noise_model == "protocol":
             z = (v * sigmas) @ gain  # gain is symmetric
         else:
@@ -79,14 +69,12 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
         x = xi @ root + x0 if stationary else np.tile(x0, (count, 1))
         e_agg = np.empty((horizon + 1, count))
         traj = np.empty((horizon + 1, n)) if t_lo == 0 else None
-        dev = x - x.mean(axis=1, keepdims=True)
-        e_agg[0] = np.mean(dev**2, axis=1)
+        e_agg[0] = mean_square_error(x)
         if traj is not None:
             traj[0] = x[0]
         for k in range(horizon):
             x = x @ p.matrix + z[k]  # P is symmetric
-            dev = x - x.mean(axis=1, keepdims=True)
-            e_agg[k + 1] = np.mean(dev**2, axis=1)
+            e_agg[k + 1] = mean_square_error(x)
             if traj is not None:
                 traj[k + 1] = x[0]
         return e_agg, traj

@@ -29,9 +29,9 @@ from dpformation import (
     theorem1_bound,
     theorem3_thresholds,
 )
+from dpformation.dynamics import tile_rng
 from chain_reference import kemeny_constant
 from graph_reference import max_degree, random_connected_graph
-from mc_reference import trial_rng
 from step_reference import (
     error_series,
     noiseless_step,
@@ -243,15 +243,15 @@ def test_structural_properties():
         assert np.abs(net - node).max() <= 1e-12
 
     # an n-dimensional run is exactly n scalar runs on per-dimension keys:
-    # a 2-D simulation whose dimension l consumes the (seed, l) noise
-    # stream reproduces the scalar trajectories bit for bit
+    # a 2-D simulation whose dimension l consumes the stream of tile 0
+    # under key (seed, l) reproduces the scalar trajectories bit for bit
     g, p, _ = seeded_graphs(1)[0]
     seed, horizon = 42, 30
     sigmas = np.linspace(0.5, 1.5, g.n)
     gain = p.matrix - np.diag(np.diag(p.matrix))
     scalar = [run_trials(p, sigmas, horizon, 1, (seed, l)).first_trajectory
               for l in range(2)]
-    z = np.stack([(trial_rng((seed, l), 0).standard_normal((horizon, 1, g.n))
+    z = np.stack([(tile_rng((seed, l), 0).standard_normal((horizon, 1, g.n))
                    * sigmas) @ gain for l in range(2)])
     x = np.zeros((2, 1, g.n))
     for k in range(horizon):

@@ -184,6 +184,13 @@ class TestPrivacyParamsValidation:
         with pytest.warns(PrivacyRangeWarning):
             PrivacyParams(0.5, 0.1, 1.0)
 
+    @pytest.mark.parametrize("eps, delta", [(1e-3, 0.01), (0.5, 0.1)])
+    def test_warning_names_the_caller(self, eps, delta):
+        # not the dataclass __init__ that runs __post_init__
+        with pytest.warns(PrivacyRangeWarning) as record:
+            PrivacyParams(eps, delta, 1.0)
+        assert [w.filename for w in record] == [__file__]
+
     def test_typical_params_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

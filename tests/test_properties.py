@@ -1,5 +1,5 @@
 """Property tests for the spectral core, the Monte Carlo plan, its drawn
-start, trial seeding, tiling and agent sums, and the design path.
+start and tiling, and the design path.
 
 Graphs come from graph_reference.random_connected_graph (weights in (0.1, 1]), with step
 size gamma in [0.05, 0.5] / d_max and heterogeneous per-agent privacy; the
@@ -22,12 +22,10 @@ from dpformation import (
     noise_scale,
     run_trials,
     theorem1_bound,
-    trial_rngs,
 )
-from dpformation.dynamics import TILE_TRIALS, _agent_sum
+from dpformation.dynamics import TILE_TRIALS
 from graph_reference import max_degree, random_connected_graph
 from lyapunov_reference import iterative_ess_oracle
-from mc_reference import trial_rng
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -121,28 +119,6 @@ def test_stationary_covariance_solves_the_lyapunov_equation(cfg):
         assert abs(np.trace(s) / p.n - exact) <= 1e-12 * exact, model
 
 
-SEED_ENTRIES = st.integers(0, 2**70 - 1)
-
-
-@SETTINGS
-@given(master_seed=st.one_of(SEED_ENTRIES,
-                             st.tuples(SEED_ENTRIES),
-                             st.tuples(SEED_ENTRIES, SEED_ENTRIES),
-                             st.tuples(SEED_ENTRIES, SEED_ENTRIES,
-                                       SEED_ENTRIES)),
-       t_lo=st.integers(0, 2**32 - 1), count=st.integers(0, 5))
-def test_batched_trial_seeding_matches_seed_sequence(master_seed, t_lo,
-                                                     count):
-    t_hi = min(t_lo + count, 2**32)
-    rngs = trial_rngs(master_seed, t_lo, t_hi)
-    assert len(rngs) == t_hi - t_lo
-    for t, g in zip(range(t_lo, t_hi), rngs):
-        want = trial_rng(master_seed, t)
-        assert np.array_equal(g.standard_normal(3), want.standard_normal(3))
-        assert np.array_equal(g.integers(0, 2**63, 2),
-                              want.integers(0, 2**63, 2))
-
-
 @st.composite
 def trial_plans(draw):
     """(trials, horizon, stationary): up to 40 trials in one tile over up
@@ -175,22 +151,3 @@ def test_every_jobs_gives_the_same_bits(cfg, plan, jobs):
         assert np.array_equal(split.e_agg_trials, one.e_agg_trials), model
         assert np.array_equal(split.first_trajectory,
                               one.first_trajectory), model
-
-
-@SETTINGS
-@given(rows=st.integers(1, 3), m=st.integers(1, 300), cols=st.integers(1, 4),
-       seed=st.integers(0, 2**32 - 1), lo=st.integers(-300, 300),
-       span=st.integers(0, 600), special=st.floats(0.0, 0.5))
-def test_agent_sum_matches_numpy_sum(rows, m, cols, seed, lo, span, special):
-    # magnitudes 10^lo ... 10^(lo+span), capped at 10^300, and a share of
-    # signed zeros and subnormals
-    rng = np.random.default_rng(seed)
-    shape = (rows, m, cols)
-    y = (rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 10.0, shape)
-         * 10.0 ** rng.integers(lo, min(lo + span, 300) + 1, shape))
-    odd = rng.choice([0.0, -0.0, 5e-324, -5e-324, 3e-310, -2e-320], shape)
-    y = np.where(rng.random(shape) < special, odd, y)
-    out = np.empty((rows, cols))
-    _agent_sum(y, out, np.empty(y.size))
-    want = np.sum(np.ascontiguousarray(y.transpose(0, 2, 1)), axis=2)
-    assert np.array_equal(out, want)
