@@ -14,7 +14,10 @@ Schema::
 """
 from __future__ import annotations
 
+import gc
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +74,29 @@ class RunConfig:
         return np.array([privacy.noise_scale(p) for p in self.privacy_params])
 
 
-# libyaml's C parser when PyYAML was built with it, else the pure-Python one
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_SCALARS = {tag: yaml.constructor.SafeConstructor.yaml_constructors[tag]
+            for tag in (f"tag:yaml.org,2002:{name}"
+                        for name in ("null", "bool", "int", "float", "str"))}
+
+
+class _DirectScalars:
+    """Loader mixin: a scalar tagged null, bool, int, float or str is built
+    by its SafeConstructor function directly. It is an immutable leaf, so
+    the inherited construct_object's alias and recursion tables and its
+    generator draining do nothing for it; every other node still goes
+    there, so aliased collections stay one object."""
+
+    def construct_object(self, node, deep=False):
+        if type(node) is yaml.ScalarNode:
+            build = _SCALARS.get(node.tag)
+            if build is not None:
+                return build(self, node)
+        return super().construct_object(node, deep)
+
+
+class _LOADER(_DirectScalars, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """yaml.safe_load's reading, with libyaml's C parser when PyYAML was
+    built with it, else the pure-Python one."""
 
 
 def _check_keys(spec: dict, allowed: tuple, where: str) -> None:
@@ -131,14 +155,35 @@ def parse_graph(spec: dict) -> WeightedGraph:
     raise ConfigError("graph spec needs either 'kind' or 'nodes'")
 
 
+def _warn_again(caught, text, filename, lineno) -> None:
+    """Issue the caught warning again as text at filename:lineno, filtered
+    as a warning from this module."""
+    warnings.warn_explicit(text, caught.category, filename, lineno,
+                           module=__name__)
+
+
 def parse_privacy(spec, n: int) -> tuple:
+    """One PrivacyParams per agent: a mapping shared by all n, or a list of
+    n mappings; a range warning on a list entry names its agent, counted
+    from 1."""
     def one(d):
         _check_keys(d, ("epsilon", "delta", "b"), "privacy")
         return privacy.PrivacyParams(*(_real(d[k], k)
                                        for k in ("epsilon", "delta", "b")))
     if not isinstance(spec, list):
         return (one(spec),) * n
-    entries = tuple(one(d) for d in spec)
+    entries, agents, caught = [], [], []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", privacy.PrivacyRangeWarning)
+            for agent, d in enumerate(spec, 1):
+                entries.append(one(d))
+                agents += [agent] * (len(caught) - len(agents))
+    finally:
+        for agent, w in zip(agents, caught):
+            _warn_again(w, f"agent {agent}: {w.message}", w.filename,
+                        w.lineno)
+    entries = tuple(entries)
     if len(entries) != n:
         raise ConfigError(f"privacy list has {len(entries)} entries, "
                           f"expected {n}")
@@ -165,12 +210,43 @@ def from_mapping(data: dict) -> RunConfig:
         raise ConfigError(f"missing config key: {exc}") from None
 
 
+def _read(fh):
+    """The document in the YAML stream fh, as yaml.safe_load reads it, and
+    the 1-based line of its top-level privacy key (0 if it has none).
+
+    The cyclic garbage collector is paused while the document is built:
+    every node and list the load makes stays alive until the end, and the
+    load leaves no cyclic garbage, so a collection here would free nothing
+    and only walk the growing tree and the caller's heap again."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        loader = _LOADER(fh)
+        try:
+            root = loader.get_single_node()
+            data = None if root is None else loader.construct_document(root)
+        finally:
+            loader.dispose()
+    finally:
+        if collecting:
+            gc.enable()
+    line = 0
+    if type(root) is yaml.MappingNode:
+        # construct_document has merged any << keys into root.value; the
+        # last privacy key is the one that counts
+        for key, _ in root.value:
+            if type(key) is yaml.ScalarNode and key.value == "privacy":
+                line = key.start_mark.line + 1
+    return data, line
+
+
 def load(path) -> RunConfig:
     """The RunConfig in the YAML file at path; a file that cannot be read
-    or parsed is a ConfigError naming the path."""
+    or parsed is a ConfigError naming the path. A privacy range warning
+    names the file and the line of its privacy key."""
     try:
         with open(path) as fh:
-            data = yaml.load(fh, Loader=_LOADER)
+            data, privacy_line = _read(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: "
                           f"{exc.strerror}") from None
@@ -179,7 +255,14 @@ def load(path) -> RunConfig:
                           f"{exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a mapping")
-    return from_mapping(data)
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", privacy.PrivacyRangeWarning)
+            return from_mapping(data)
+    finally:
+        for w in caught:
+            _warn_again(w, str(w.message), os.fspath(path), privacy_line)
 
 
 def demo_config() -> RunConfig:
