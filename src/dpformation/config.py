@@ -172,15 +172,12 @@ def parse_privacy(spec, n: int) -> tuple:
                                        for k in ("epsilon", "delta", "b")))
     if not isinstance(spec, list):
         return (one(spec),) * n
-    entries, agents, caught = [], [], []
-    try:
+    entries = []
+    for agent, d in enumerate(spec, 1):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", privacy.PrivacyRangeWarning)
-            for agent, d in enumerate(spec, 1):
-                entries.append(one(d))
-                agents += [agent] * (len(caught) - len(agents))
-    finally:
-        for agent, w in zip(agents, caught):
+            entries.append(one(d))
+        for w in caught:
             _warn_again(w, f"agent {agent}: {w.message}", w.filename,
                         w.lineno)
     entries = tuple(entries)
