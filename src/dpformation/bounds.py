@@ -65,7 +65,7 @@ def _prefactor(n_agents: int, gamma: float, lambda2):
     if n_agents < 2:
         raise ValueError(f"need at least 2 agents, got {n_agents}")
     graphs.check_float_agents(n_agents)
-    graphs.check_gamma(gamma)
+    graphs.check_positive(gamma, "gamma")
     lam2 = np.asarray(lambda2, dtype=float)
     ok = (lam2 > 0) & (lam2 < 2.0 / gamma)
     if not np.all(ok):
@@ -82,7 +82,7 @@ def corollary1_bound(epsilon, lambda2, *, n_agents: int, gamma: float,
     gamma * kappa^2 * b^2 * (N-1)^2 / (N * lambda2 * (2 - gamma*lambda2)).
     Broadcasts over epsilon and lambda2: a float for scalars.
     """
-    privacy.check_radius(b)
+    graphs.check_positive(b, "adjacency radius b")
     kap = privacy.kappa(delta, epsilon)
     with np.errstate(over="ignore"):  # check_finite names an overflow
         out = _prefactor(n_agents, gamma, lambda2) * (b * b * (kap * kap))
@@ -94,20 +94,17 @@ def corollary1_bound(epsilon, lambda2, *, n_agents: int, gamma: float,
 def theorem1_bound(p: PerronMatrix, params) -> float:
     """Heterogeneous upper bound on e_ss.
 
-    gamma * (N-1)^2 * max_i kappa_i^2 b_i^2 / (N lambda2 (2 - gamma lambda2)).
+    gamma * (N-1)^2 * max_i kappa_i^2 b_i^2 / (N lambda2 (2 - gamma lambda2)),
+    that is corollary1_bound at the agent with the largest b^2 kappa^2.
     params is a sequence of N PrivacyParams, one per agent. Where floats
     cannot hold the bound, NumericalError names that agent's parameters.
     """
     if len(params) != p.n:
         raise ValueError(f"{len(params)} privacy entries for {p.n} agents")
-    # the agent with the largest b^2 kappa^2 sets the bound
     q = max(params, key=lambda q: q.b * q.b * (q.kappa * q.kappa))
-    lam2 = graphs.algebraic_connectivity(p.graph)
-    out = float(_prefactor(p.n, p.gamma, lam2)
-                * (q.b * q.b * (q.kappa * q.kappa)))
-    graphs.check_finite(out, "the bound", epsilon=q.epsilon, lambda2=lam2,
-                        n_agents=p.n, gamma=p.gamma, b=q.b, delta=q.delta)
-    return out
+    return corollary1_bound(q.epsilon, graphs.algebraic_connectivity(p.graph),
+                            n_agents=p.n, gamma=p.gamma, b=q.b,
+                            delta=q.delta)
 
 
 def epsilon_threshold_numeric(lambda2: float, *, gamma: float, delta: float,
@@ -121,9 +118,8 @@ def epsilon_threshold_numeric(lambda2: float, *, gamma: float, delta: float,
     e_r > 0 in exact arithmetic. Where floats cannot hold kappa*^2 or
     eps*, NumericalError names the inputs.
     """
-    if not (e_r > 0 and math.isfinite(e_r)):
-        raise ValueError(f"e_r must be positive and finite, got {e_r}")
-    privacy.check_radius(b)
+    graphs.check_positive(e_r, "e_r")
+    graphs.check_positive(b, "adjacency radius b")
     k = privacy.q_inverse(delta)
     # a Python float: a zero divisor raises, an overflow is inf unwarned
     c = float(_prefactor(n_agents, gamma, lambda2))
@@ -151,13 +147,17 @@ def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
     expressions are reported for comparison only; see
     epsilon_threshold_numeric for the exact inversion of the bound.
     """
-    privacy.check_radius(b)
-    graphs.check_gamma(gamma)
+    graphs.check_positive(b, "adjacency radius b")
+    graphs.check_positive(gamma, "gamma")
+    graphs.check_positive(e_r, "e_r")
     k = privacy.q_inverse(delta)
     if kind not in ("impossibility", *TABLE1_KINDS):
         raise ValueError(f"unknown threshold kind {kind!r}")
-    if kind == "impossibility" and lambda2 is None:
-        raise ValueError("impossibility form requires lambda2")
+    if kind == "impossibility":
+        if lambda2 is None:
+            raise ValueError("impossibility form requires lambda2")
+    else:
+        graphs.check_positive(w, "w")
     try:
         if kind == "impossibility":
             z1 = gamma * (n - 1) ** 2 / (2.0 - gamma * lambda2)
@@ -187,7 +187,7 @@ def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
     return eps
 
 
-TABLE1_KINDS = ("complete", "cycle", "line", "star")
+TABLE1_KINDS = graphs.TOPOLOGY_KINDS
 TABLE1_SIZES = (10, 100, 1000, 10000)
 TABLE1_PARAMS = dict(delta=0.01, b=5.0, w=1.0, gamma=1e-4, e_r=100.0)
 

@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     des = sub.add_parser("design", help="minimum-epsilon thresholds")
-    des.add_argument("--kind", choices=["complete", "cycle", "line", "star"],
+    des.add_argument("--kind", choices=graphs.TOPOLOGY_KINDS,
                      default="complete")
     des.add_argument("--n", type=int, default=10)
     des.add_argument("--delta", type=float, default=0.01)

@@ -122,7 +122,9 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     series plus O(TILE_TRIALS * BLOCK_DRAWS) per thread.
 
     noise_model, "protocol" or "network", selects the law of the state
-    perturbation z; noise_covariance gives each law's Cov[z].
+    perturbation z; noise_covariance gives each law's Cov[z]. The network
+    law draws z straight into the state rows; the protocol law draws into
+    a noise block that one matrix product with noise_gain(p) mixes in.
 
     stationary=True adds to the start xbar0 a deviation drawn from its
     stationary law N(0, S), S = U_d M U_d^T with M = p.stationary_modes
@@ -142,11 +144,11 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     n = p.n
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
-    gain = noise_gain(p)
     cov = noise_covariance(p, sigmas, noise_model)
     # the scale of each draw: sigma_j for the protocol law, which mixes the
     # scaled draws through the gain, and the network law's z_i directly
-    scale = sigmas if noise_model == "protocol" else np.sqrt(np.diag(cov))
+    gain = noise_gain(p) if noise_model == "protocol" else None
+    scale = sigmas if gain is not None else np.sqrt(np.diag(cov))
     if stationary:
         # roundoff leaves the zero eigenvalues of S (the consensus mode, and
         # more for sigma = 0 or a protocol law with a rank-deficient gain)
@@ -166,15 +168,15 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         noise = space[0][:size]
         # x[0] carries the block's start; x[j + 1] takes step j's
         # perturbation, to which the recursion adds P x[j] from tmp, the
-        # head of the noise buffer, spent once the perturbations are in x
+        # head of the noise buffer, free before the first block and once
+        # the perturbations are in x
         x = space[1][:size + count * n].reshape(block + 1, count, n)
         tmp = noise[:count * n].reshape(count, n)
+        x[0] = x0
         if stationary:
             rng.standard_normal(out=x[1])
-            np.matmul(x[1], root, out=x[0])  # root is symmetric
-            x[0] += x0
-        else:
-            x[0] = x0
+            np.matmul(x[1], root, out=tmp)  # root is symmetric
+            x[0] += tmp
         e_tile = e_agg[:, t_lo:t_hi]
         first = t_lo == 0
 
@@ -195,13 +197,12 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         for k0 in range(0, horizon, block):
             b = min(block, horizon - k0)
             # step-major, so the head is contiguous also for a short block
-            v = noise[:b * count * n].reshape(b, count, n)
+            v = (x[1:b + 1] if gain is None
+                 else noise[:b * count * n].reshape(b, count, n))
             rng.standard_normal(out=v)
             v *= scale
-            if noise_model == "protocol":  # gain is symmetric
+            if gain is not None:  # gain is symmetric
                 np.matmul(v, gain, out=x[1:b + 1])
-            else:
-                np.copyto(x[1:b + 1], v)
             for j in range(b):
                 np.matmul(x[j], p.matrix, out=tmp)  # P is symmetric
                 x[j + 1] += tmp

@@ -38,6 +38,13 @@ def check_finite(value, what: str, **inputs) -> None:
         raise NumericalError(f"no finite value of {what} at {at}")
 
 
+def check_positive(value: float, what: str) -> None:
+    """Raise unless the input named what (gamma, b, w, e_r, ...) is
+    positive and finite, as every bound, threshold and cutoff needs."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
 def check_float_agents(n: int) -> None:
     """Raise NumericalError when the agent count n is too large for a
     float, which the closed forms in N need."""
@@ -102,14 +109,6 @@ class WeightedGraph:
         return lam, u
 
 
-def check_gamma(gamma: float) -> None:
-    """Raise unless the step size gamma of P = I - gamma*L is positive and
-    finite; build_perron and every bound, threshold and cutoff that takes
-    gamma check it here."""
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-
-
 def algebraic_connectivity(g: WeightedGraph) -> float:
     """Second-smallest Laplacian eigenvalue; 0 for disconnected graphs."""
     if g.n < 2:
@@ -137,6 +136,8 @@ def is_connected(g: WeightedGraph) -> bool:
 # fewest agents of each named topology: a "cycle" on two nodes would be a
 # doubled edge
 _MIN_AGENTS = {"complete": 2, "cycle": 3, "line": 2, "star": 2}
+# the named topologies, in Table I's order
+TOPOLOGY_KINDS = tuple(_MIN_AGENTS)
 
 
 def _check_topology(kind: str, n: int, w: float) -> None:
@@ -149,8 +150,7 @@ def _check_topology(kind: str, n: int, w: float) -> None:
         raise ValueError(f"a {kind} topology needs n >= {_MIN_AGENTS[kind]} "
                          f"agents, got {n}")
     check_float_agents(n)
-    if not (w > 0 and math.isfinite(w)):
-        raise ValueError(f"w must be positive and finite, got {w}")
+    check_positive(w, "w")
 
 
 def build_standard_topology(kind: str, n: int, w: float = 1.0) -> WeightedGraph:
@@ -226,7 +226,7 @@ def build_perron(g: WeightedGraph, gamma: float) -> PerronMatrix:
     Requires a connected graph and gamma * d_i < 1 for every node i
     (equivalently gamma in (0, 1/d_max)).
     """
-    check_gamma(gamma)
+    check_positive(gamma, "gamma")
     if not is_connected(g):
         raise ValueError("graph must be connected")
     degs = np.diag(g.laplacian)

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import graphs
+
 TYPICAL_EPS_LO = 0.1
 TYPICAL_EPS_HI = math.log(3.0)
 TYPICAL_DELTA_MAX = 0.01
@@ -111,14 +113,6 @@ def kappa(delta: float, epsilon):
     return out if out.ndim else float(out)
 
 
-def check_radius(b: float) -> None:
-    """Raise unless the adjacency radius b is positive and finite; every
-    bound and threshold that takes b checks it here."""
-    if not (b > 0 and math.isfinite(b)):
-        raise ValueError(
-            f"adjacency radius b must be positive and finite, got {b}")
-
-
 @dataclass(frozen=True)
 class PrivacyParams:
     """Per-agent privacy parameters (epsilon, delta, b)."""
@@ -129,7 +123,7 @@ class PrivacyParams:
 
     def __post_init__(self):
         self.kappa  # checks epsilon and delta, and caches kappa
-        check_radius(self.b)
+        graphs.check_positive(self.b, "adjacency radius b")
         if not TYPICAL_EPS_LO <= self.epsilon <= TYPICAL_EPS_HI:
             warnings.warn(
                 f"epsilon={self.epsilon:.4g} outside the customary range "

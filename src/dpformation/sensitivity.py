@@ -36,7 +36,8 @@ def theorem3_thresholds(epsilon: float, delta: float,
     literally. Raises on a negative radicand, and NumericalError naming
     the inputs where a float cannot hold a term (epsilon^2, 1/gamma^2).
     """
-    graphs.check_gamma(gamma)
+    graphs.check_positive(gamma, "gamma")
+    graphs.check_positive(epsilon, "epsilon")
     k = privacy.q_inverse(delta)
     try:
         alpha = (epsilon**2 + 1.5 * epsilon * k**2 + 1.0 / gamma**2

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dpformation import (
     epsilon_threshold_numeric,
     estimate_ess,
     exact_ess_oracle,
+    kappa,
     lemma7_sandwich,
     noise_covariance,
     noise_scale,
@@ -190,6 +192,41 @@ class TestTheorem1Bound:
                 "no finite value of the bound at epsilon=1e-300, "
                 "lambda2=1.0, n_agents=5, gamma=0.2, b=2.0, delta=0.00135")):
             theorem1_bound(p, params)
+
+    def test_is_corollary1_at_the_worst_agent(self):
+        # heterogeneous lists whose worst agent is never agent 0: the
+        # bound is Corollary 1 at that agent, bit for bit
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            g = random_connected_graph(int(rng.integers(3, 13)), rng)
+            p = build_perron(g, 0.5 / max_degree(g))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PrivacyRangeWarning)
+                params = [PrivacyParams(float(rng.uniform(0.1, 1.0)),
+                                        float(rng.uniform(1e-4, 0.01)),
+                                        float(rng.uniform(0.5, 2.0)))
+                          for _ in range(g.n)]
+            scales = [q.b * kappa(q.delta, q.epsilon) for q in params]
+            worst = int(np.argmax(scales))
+            at = int(rng.integers(1, g.n))
+            params[worst], params[at] = params[at], params[worst]
+            lam2 = algebraic_connectivity(g)
+
+            def at_agent(a):
+                return corollary1_bound(a.epsilon, lam2, n_agents=g.n,
+                                        gamma=p.gamma, b=a.b, delta=a.delta)
+
+            assert theorem1_bound(p, params) == at_agent(params[at])
+            assert at_agent(params[0]) < at_agent(params[at])
+
+    def test_overflow_raises_without_a_numpy_warning(self):
+        # finite C(lambda2) and b^2 kappa^2 whose product overflows
+        g = build_standard_topology("line", 50, 1.0)
+        params = [PrivacyParams(1.0, 0.00135, 1e153)] * 50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape("b=1e+153")):
+                theorem1_bound(build_perron(g, 0.4), params)
 
     @pytest.mark.parametrize("count", [1, 4, 6])
     def test_needs_one_entry_per_agent(self, count):
@@ -370,6 +407,31 @@ class TestGammaValidation:
                 epsilon_threshold_closed_form(kind, 10, gamma=gamma,
                                               delta=0.01, b=5.0, w=1.0,
                                               e_r=100.0, lambda2=1.0)
+
+
+class TestClosedFormValidation:
+    """The published forms check e_r, and w for the four topologies, as
+    the exact inversion does; they used to fail with a math domain error or
+    a NumericalError naming no input."""
+
+    KW = dict(gamma=1e-4, delta=0.01, b=5.0, lambda2=1.0)
+
+    @pytest.mark.parametrize("e_r", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["impossibility", "complete", "cycle",
+                                      "line", "star"])
+    def test_rejects_target(self, kind, e_r):
+        with pytest.raises(ValueError, match=re.escape(
+                f"e_r must be positive and finite, got {e_r}")):
+            epsilon_threshold_closed_form(kind, 10, w=1.0, e_r=e_r,
+                                          **self.KW)
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["complete", "cycle", "line", "star"])
+    def test_rejects_weight(self, kind, w):
+        with pytest.raises(ValueError, match=re.escape(
+                f"w must be positive and finite, got {w}")):
+            epsilon_threshold_closed_form(kind, 10, w=w, e_r=100.0,
+                                          **self.KW)
 
 
 class TestRadiusValidation:

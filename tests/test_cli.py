@@ -1,10 +1,11 @@
+import argparse
 import warnings
 
 import numpy as np
 import pytest
 import yaml
 
-from dpformation import corollary1_bound
+from dpformation import bounds, corollary1_bound, graphs
 from dpformation.cli import build_parser, main
 from dpformation.privacy import PrivacyRangeWarning
 
@@ -338,6 +339,15 @@ class TestSimulate:
 
 
 class TestDesign:
+    def test_kinds_are_the_named_topologies(self):
+        # spelled out once, in graphs; Table I and --kind read them there
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        kind = next(a for a in sub.choices["design"]._actions
+                    if a.dest == "kind")
+        assert bounds.TABLE1_KINDS is graphs.TOPOLOGY_KINDS
+        assert tuple(kind.choices) == graphs.TOPOLOGY_KINDS
+
     def test_single_threshold(self, capsys):
         code, text, _ = run(capsys, "design", "--kind", "complete",
                             "--n", "10")

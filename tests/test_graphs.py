@@ -12,6 +12,9 @@ from dpformation import (
     is_connected,
     topology_lambda2,
 )
+from dpformation.bounds import epsilon_threshold_numeric
+from dpformation.graphs import check_positive
+from dpformation.privacy import PrivacyParams
 from chain_reference import (
     bfs_is_connected,
     kemeny_constant,
@@ -299,3 +302,26 @@ class TestSpectralCore:
         p = PerronMatrix(np.eye(2) - 1.0 * g.laplacian, 1.0, g)
         with pytest.raises(NumericalError, match="no mixing"):
             p.stationary_modes(np.eye(2))
+
+
+# each input that check_positive guards, with a public call that reads it
+POSITIVE_INPUTS = {
+    "gamma": lambda v: build_perron(build_standard_topology("star", 5), v),
+    "adjacency radius b": lambda v: PrivacyParams(0.5, 0.01, v),
+    "w": lambda v: topology_lambda2("cycle", 5, v),
+    "e_r": lambda v: epsilon_threshold_numeric(1.0, gamma=1e-4, delta=0.01,
+                                               b=5.0, n_agents=10, e_r=v),
+}
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"),
+                                       float("nan")])
+    @pytest.mark.parametrize("what", sorted(POSITIVE_INPUTS))
+    def test_exact_message_for_each_input(self, what, value):
+        message = f"{what} must be positive and finite, got {value}"
+        with pytest.raises(ValueError) as direct:
+            check_positive(value, what)
+        with pytest.raises(ValueError) as public:
+            POSITIVE_INPUTS[what](value)
+        assert str(direct.value) == str(public.value) == message

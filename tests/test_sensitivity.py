@@ -104,6 +104,15 @@ class TestPartialLambda2:
 
 
 class TestTheorem3Thresholds:
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"),
+                                     float("inf")])
+    def test_rejects_epsilon(self, eps):
+        # it used to return cutoffs for eps <= 0 and raise NumericalError
+        # for nan and inf
+        with pytest.raises(ValueError, match=re.escape(
+                f"epsilon must be positive and finite, got {eps}")):
+            theorem3_thresholds(eps, 0.00135, 0.1)
+
     def test_reference_cutoff(self):
         rep = theorem3_thresholds(0.01, 0.00135, 0.1)
         assert rep.upper_cut == pytest.approx(5.55134, abs=1e-3)

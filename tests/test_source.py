@@ -35,3 +35,23 @@ def test_cli_import_does_not_load(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_positivity_message_has_one_home():
+    # every scalar input is checked by graphs.check_positive; kappa's check
+    # covers a whole epsilon grid and names no value
+    text = "must be positive and finite"
+    homes = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = {}
+        for scope in ast.walk(tree):  # breadth first: inner scopes last
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                for node in ast.walk(scope):
+                    scopes[node] = scope.name
+        homes += [f"{path.stem}.{scopes.get(node, '<module>')}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and text in node.value]
+    assert sorted(homes) == ["graphs.check_positive", "privacy.kappa"]
