@@ -25,11 +25,11 @@ CSV_CHUNK_ROWS = 1024
 _QUOTED = re.compile(r'[,"\r\n]')
 
 
-def _unquoted(cells, one_field: bool):
-    """The cells, checked to be ones csv.writer would write unquoted."""
+def _unquoted(cells):
+    """The str cells, checked to be non-empty and unquoted by csv.writer."""
     for s in cells:
-        if _QUOTED.search(s) or (one_field and not s):
-            raise ValueError(f"CSV cell {s!r} would need quoting")
+        if not s or _QUOTED.search(s):
+            raise ValueError(f"CSV cell {s!r} is empty or needs quoting")
     return cells
 
 
@@ -39,7 +39,7 @@ def _unquoted(cells, one_field: bool):
 _WIDE = {"i": np.int64, "u": np.uint64, "f": np.float64}
 
 
-def _column_text(c: np.ndarray, one_field: bool) -> list:
+def _column_text(c: np.ndarray) -> list:
     """str of each cell. Numbers go through one orjson call, whose shortest
     round-trip digits equal repr's wherever repr writes a float
     positionally; the rest (nan, inf, |x| < 1e-4 and |x| >= 1e16 but not
@@ -48,8 +48,7 @@ def _column_text(c: np.ndarray, one_field: bool) -> list:
     if kind not in "biufU":
         raise TypeError(f"unsupported CSV column dtype {c.dtype}")
     if kind in "bU":
-        text = list(map(str, c.tolist()))
-        return _unquoted(text, one_field) if kind == "U" else text
+        return _unquoted(list(map(str, c.tolist())))
     import orjson  # not at the top: most commands write no CSV
     c = np.ascontiguousarray(c, dtype=_WIDE[kind])
     text = (orjson.dumps(c, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
@@ -67,17 +66,17 @@ def _write_csv(path, header, columns) -> None:
     csv.writer writes: str of each cell (floats round-trip exactly), comma
     separated, CRLF line ends. Rows go out in chunks of CSV_CHUNK_ROWS, and
     each numeric column of a chunk is formatted in one orjson call. No
-    cell is ever quoted: a str cell that csv.writer would quote raises
-    ValueError."""
+    cell is ever quoted or empty: a str cell or header name that is empty
+    or that csv.writer would quote raises ValueError."""
     cols = [np.asarray(c) for c in columns]
     n_rows = len(cols[0]) if cols else 0
     if any(c.ndim != 1 or len(c) != n_rows for c in cols):
         raise ValueError("CSV columns must be 1-D and of equal length")
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_unquoted(header, len(header) == 1)) + "\r\n")
+        fh.write(",".join(_unquoted(header)) + "\r\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            cells = [_column_text(c[start:start + CSV_CHUNK_ROWS],
-                                  len(cols) == 1) for c in cols]
+            cells = [_column_text(c[start:start + CSV_CHUNK_ROWS])
+                     for c in cols]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
@@ -129,41 +128,49 @@ def cmd_simulate(args) -> int:
     exact = bounds.exact_ess_oracle(
         p, dynamics.noise_covariance(p, sigmas, "protocol"))
     _make_out_dir(args.out)
-    runs = _per_dimension_runs(cfg, p, sigmas, jobs)
+    h, n = cfg.horizon + 1, cfg.graph.n
+    # per dimension: the (h, n) states and errors of trial 0 and the (h,)
+    # mean squared error and its 95% half-width; a value that overflows is
+    # reported below, not by a numpy warning
+    series = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, ens in _per_dimension_runs(cfg, p, sigmas, jobs):
+            t = ens.first_trajectory  # xbar of trial 0
+            series.append((t + q, t - t.mean(axis=1, keepdims=True),
+                           ens.e_agg_mean, 1.96 * ens.e_agg_sem))
+    for l, values in enumerate(series, 1):
+        for what, v in zip(("state", "error", "e_agg_mean", "e_agg_ci"),
+                           values):
+            graphs.check_finite(v.reshape(h, -1), what, dimension=l,
+                                step=np.arange(h)[:, None])
     print(f"per-dimension e_ss upper bound: {_fmt(bound)}")
     print(f"exact per-dimension e_ss:       {_fmt(exact)}")
 
-    h, n, d = cfg.horizon + 1, cfg.graph.n, len(runs)
+    d = len(series)
     dims = np.arange(1, d + 1)
-    trajs = [ens.first_trajectory for _, ens in runs]  # xbar of trial 0
+    states, errors, means, cis = (np.concatenate([v.ravel() for v in col])
+                                  for col in zip(*series))
     _write_csv(os.path.join(args.out, "trajectory.csv"),
                ["step", "agent", "dimension", "state", "error"],
                [np.tile(np.repeat(np.arange(h), n), d),
                 np.tile(np.arange(1, n + 1), h * d),
-                np.repeat(dims, h * n),
-                np.concatenate([(t + q).ravel()
-                                for t, (q, _) in zip(trajs, runs)]),
-                np.concatenate([(t - t.mean(axis=1, keepdims=True)).ravel()
-                                for t in trajs])])
+                np.repeat(dims, h * n), states, errors])
     _write_csv(os.path.join(args.out, "summary.csv"),
                ["step", "dimension", "e_agg_mean", "e_agg_ci"],
-               [np.tile(np.arange(h), d), np.repeat(dims, h),
-                np.concatenate([ens.e_agg_mean for _, ens in runs]),
-                np.concatenate([1.96 * ens.e_agg_sem for _, ens in runs])])
+               [np.tile(np.arange(h), d), np.repeat(dims, h), means, cis])
 
     tail_start = cfg.horizon + 1 - max((cfg.horizon + 1) // 4, 1)
-    for l, (_, ens) in enumerate(runs):
-        tail_max = float(ens.e_agg_mean[tail_start:].max())
+    for l, (_, _, mean, _) in enumerate(series, 1):
+        tail_max = float(mean[tail_start:].max())
         status = "<=" if tail_max <= bound else ">"
-        print(f"dimension {l + 1}: tail e_agg max {_fmt(tail_max)} "
+        print(f"dimension {l}: tail e_agg max {_fmt(tail_max)} "
               f"{status} bound {_fmt(bound)}")
     print(f"wrote {args.out}/trajectory.csv and {args.out}/summary.csv")
     return 0
 
 
 def cmd_design(args) -> int:
-    prm = dict(delta=args.delta, b=args.b, w=args.w, gamma=args.gamma,
-               e_r=args.e_r)
+    prm = {k: getattr(args, k) for k in bounds.TABLE1_PARAMS}
     cells = (bounds.reproduce_table1(**prm) if args.table1
              else [bounds.threshold_cell(args.kind, args.n, **prm)])
     if args.out:
@@ -282,17 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     des.add_argument("--kind", choices=graphs.TOPOLOGY_KINDS,
                      default="complete")
     des.add_argument("--n", type=int, default=10)
-    des.add_argument("--delta", type=float, default=0.01)
-    des.add_argument("--b", type=float, default=5.0)
-    des.add_argument("--w", type=float, default=1.0,
+    des.add_argument("--delta", type=float)
+    des.add_argument("--b", type=float)
+    des.add_argument("--w", type=float,
                      help="uniform edge weight (default: 1); the threshold "
                      "inverts Theorem 1, which assumes w <= 1")
-    des.add_argument("--gamma", type=float, default=1e-4)
-    des.add_argument("--e-r", dest="e_r", type=float, default=100.0)
+    des.add_argument("--gamma", type=float)
+    des.add_argument("--e-r", dest="e_r", type=float)
     des.add_argument("--table1", action="store_true",
                      help="full 4-topology x 4-size threshold table")
     des.add_argument("--out")
-    des.set_defaults(func=cmd_design)
+    des.set_defaults(func=cmd_design, **bounds.TABLE1_PARAMS)
 
     sw = sub.add_parser("sweep", help="bound surface over (epsilon, lambda2)")
     sw.add_argument("--n", type=int, default=50)

@@ -14,6 +14,7 @@ Schema::
 """
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 import os
@@ -155,17 +156,27 @@ def parse_graph(spec: dict) -> WeightedGraph:
     raise ConfigError("graph spec needs either 'kind' or 'nodes'")
 
 
-def _warn_again(caught, text, filename, lineno) -> None:
-    """Issue the caught warning again as text at filename:lineno, filtered
-    as a warning from this module."""
-    warnings.warn_explicit(text, caught.category, filename, lineno,
-                           module=__name__)
+@contextlib.contextmanager
+def _range_warnings(prefix: str, where=None):
+    """Issue each privacy range warning of the block again, also when the
+    block raises: its text prefixed with prefix, at where, a (filename,
+    lineno) pair, or else where it was first issued, and filtered as a
+    warning from this module."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", privacy.PrivacyRangeWarning)
+            yield
+    finally:
+        for w in caught:
+            warnings.warn_explicit(f"{prefix}{w.message}", w.category,
+                                   *(where or (w.filename, w.lineno)),
+                                   module=__name__)
 
 
 def parse_privacy(spec, n: int) -> tuple:
-    """One PrivacyParams per agent: a mapping shared by all n, or a list of
-    n mappings; a range warning on a list entry names its agent, counted
-    from 1."""
+    """One PrivacyParams per agent: a mapping shared by all n, or a list
+    with one mapping per agent, whose count RunConfig checks; a range
+    warning on a list entry names its agent, counted from 1."""
     def one(d):
         _check_keys(d, ("epsilon", "delta", "b"), "privacy")
         return privacy.PrivacyParams(*(_real(d[k], k)
@@ -174,17 +185,9 @@ def parse_privacy(spec, n: int) -> tuple:
         return (one(spec),) * n
     entries = []
     for agent, d in enumerate(spec, 1):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", privacy.PrivacyRangeWarning)
+        with _range_warnings(f"agent {agent}: "):
             entries.append(one(d))
-        for w in caught:
-            _warn_again(w, f"agent {agent}: {w.message}", w.filename,
-                        w.lineno)
-    entries = tuple(entries)
-    if len(entries) != n:
-        raise ConfigError(f"privacy list has {len(entries)} entries, "
-                          f"expected {n}")
-    return entries
+    return tuple(entries)
 
 
 def from_mapping(data: dict) -> RunConfig:
@@ -252,14 +255,8 @@ def load(path) -> RunConfig:
                           f"{exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a mapping")
-    caught = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", privacy.PrivacyRangeWarning)
-            return from_mapping(data)
-    finally:
-        for w in caught:
-            _warn_again(w, str(w.message), os.fspath(path), privacy_line)
+    with _range_warnings("", (os.fspath(path), privacy_line)):
+        return from_mapping(data)
 
 
 def demo_config() -> RunConfig:

@@ -219,21 +219,18 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     workers = min(jobs, len(tiles))
     shares = [tiles[w::workers] for w in range(workers)]
 
-    def buffers(share):
-        """Flat noise and state buffers whose leading parts every tile of a
-        worker's share views."""
-        count = max(hi - lo for lo, hi in share)
-        size = count * block * n
-        return np.empty(size), np.empty(size + count * n)
-
     def run_share(share, space):
         for tile in share:
             run_tile(*tile, space)
 
-    # the buffers come before the results, so that once freed they leave
-    # a hole the next run reuses, not a heap top that malloc hands back to
-    # the system and the next run faults in again
-    spaces = [buffers(share) for share in shares]
+    # each worker's flat noise and state buffers, sized for the largest
+    # tile; a tile views their leading parts. They come before the
+    # results, so that once freed they leave a hole the next run reuses,
+    # not a heap top that malloc hands back to the system and the next run
+    # faults in again
+    most = max(hi - lo for lo, hi in tiles) * n  # draws per step
+    spaces = [(np.empty(most * block), np.empty(most * (block + 1)))
+              for _ in range(workers)]
     e_agg = np.empty((horizon + 1, trials))
     traj = np.empty((horizon + 1, n))
     if workers == 1:

@@ -348,6 +348,11 @@ class TestDesign:
         assert bounds.TABLE1_KINDS is graphs.TOPOLOGY_KINDS
         assert tuple(kind.choices) == graphs.TOPOLOGY_KINDS
 
+    def test_defaults_are_the_table1_parameters(self):
+        args = vars(build_parser().parse_args(["design"]))
+        assert {k: args[k] for k in bounds.TABLE1_PARAMS} == \
+            bounds.TABLE1_PARAMS
+
     def test_single_threshold(self, capsys):
         code, text, _ = run(capsys, "design", "--kind", "complete",
                             "--n", "10")
@@ -642,6 +647,27 @@ def test_config_bound_overflow_exits_3(tmp_path, capsys, command):
                           "at epsilon=1e-300, lambda2=1.0, n_agents=5")
     assert text == ""
     assert not (tmp_path / "o").exists()
+
+
+def test_simulate_overflow_exits_3(tmp_path, capsys):
+    # at b = 1e152 the bound and the oracle are finite, but the per-trial
+    # errors near 1e303 overflow the standard error: simulate used to warn
+    # of an overflow in numpy's square, write inf in every e_agg_ci cell
+    # after step 0 and exit 0
+    cfg = tmp_path / "huge-b.yaml"
+    cfg.write_text(DEMO_CONFIG.replace("b: 2.0", "b: 1.0e+152"))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text, err = run(capsys, "simulate", "--config", str(cfg),
+                              "--horizon", "10", "--out", str(out))
+    assert code == 3
+    assert err == ("numerical failure: no finite value of e_agg_ci at "
+                   "dimension=1, step=1\n")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] \
+        == []
+    assert text == ""
+    assert list(out.iterdir()) == []  # no summary.csv, no trajectory.csv
 
 
 @pytest.mark.parametrize("command", ["simulate", "bounds"])

@@ -212,9 +212,28 @@ class TestRangeWarnings:
         path.write_text(PER_AGENT.replace("n: 3", "n: 4").replace(
             "[[0], [1], [2]]", "[[0], [1], [2], [3]]"))
         with pytest.warns(PrivacyRangeWarning) as record:
-            with pytest.raises(config.ConfigError, match="3 entries"):
+            with pytest.raises(config.ConfigError,
+                               match="3 privacy entries for 4 agents"):
                 config.load(path)
         assert [w.filename for w in record] == [str(path)] * 2
+
+    @pytest.mark.parametrize("entry", ["load", "from_mapping"])
+    def test_short_list_is_the_agent_count_rule(self, tmp_path, entry):
+        # RunConfig holds the one agent-count rule; the entries are parsed,
+        # and their warnings issued, before it runs
+        text = PER_AGENT.replace("n: 3", "n: 4").replace(
+            "[[0], [1], [2]]", "[[0], [1], [2], [3]]")
+        path = tmp_path / "short.yaml"
+        path.write_text(text)
+        read = {"load": lambda: config.load(path),
+                "from_mapping": lambda: config.from_mapping(
+                    yaml.safe_load(text))}[entry]
+        with pytest.warns(PrivacyRangeWarning) as record:
+            with pytest.raises(config.ConfigError,
+                               match=r"^3 privacy entries for 4 agents$"):
+                read()
+        assert [str(w.message).split("=")[0] for w in record] == [
+            "agent 2: epsilon", "agent 3: delta"]
 
     def test_from_mapping_names_the_agent(self):
         with pytest.warns(PrivacyRangeWarning) as record:

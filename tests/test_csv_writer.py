@@ -153,6 +153,17 @@ class TestRejects:
         with pytest.raises(ValueError, match="quoting"):
             cli._write_csv(tmp_path / "x.csv", ["name"], [["a", ""]])
 
+    def test_empty_cell_in_a_wider_row(self, tmp_path):
+        # csv.writer would write it unquoted; the writer refuses every
+        # empty str cell, as no output the CLI writes has one
+        with pytest.raises(ValueError, match="empty"):
+            cli._write_csv(tmp_path / "x.csv", ["graph", "n"],
+                           [["star", ""], [1, 2]])
+
+    def test_empty_header_name(self, tmp_path):
+        with pytest.raises(ValueError, match="empty"):
+            cli._write_csv(tmp_path / "x.csv", ["a", ""], [[1.0], [2.0]])
+
     def test_unequal_columns(self, tmp_path):
         with pytest.raises(ValueError, match="equal length"):
             cli._write_csv(tmp_path / "x.csv", ["a", "b"],

@@ -2,6 +2,7 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -55,3 +56,17 @@ def test_positivity_message_has_one_home():
                   if isinstance(node, ast.Constant)
                   and isinstance(node.value, str) and text in node.value]
     assert sorted(homes) == ["graphs.check_positive", "privacy.kappa"]
+
+
+def test_readme_library_sketch_runs():
+    # the README's one python block is the documented library API; it must
+    # run as written, and without a numpy RuntimeWarning
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", blocks[0]],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
