@@ -39,25 +39,69 @@ def _unquoted(cells):
 _WIDE = {"i": np.int64, "u": np.uint64, "f": np.float64}
 
 
+def _orjson_text(c: np.ndarray) -> bytes:
+    """The cells of the numeric column c as orjson writes them, comma
+    separated."""
+    import orjson  # not at the top: most commands write no CSV
+    return orjson.dumps(c, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+
+
+def _exponent_text(x: np.ndarray) -> list:
+    """repr of each cell of the float64 array x, whose cells repr writes
+    in exponent form, those with 1e-5 <= |x| < 1e-4 first.
+
+    orjson writes the same shortest digits: (-)0.0000D… from 1e-5 up to
+    1e-4, which becomes D.…e-05, and (-)D[.D…]e[-]N elsewhere, whose
+    exponent takes repr's sign and two-digit padding. One full match
+    checks that every cell is spelt one of these two ways, in that order;
+    if any is not, every cell is written by repr, so the text never
+    depends on one orjson release's spelling. Each pass runs in C."""
+    # (?<=[1-9]): digits with no trailing zero. Each cell ends at a
+    # literal comma and the two forms start with different digits, so
+    # backtracking stays within a cell
+    m = re.fullmatch(rb"((?:-?0\.0000[1-9]\d*(?<=[1-9]),)*)"
+                     rb"((?:-?[1-9](?:\.\d+(?<=[1-9]))?e-?[1-9]\d*,)*)",
+                     _orjson_text(x) + b",")
+    if m is None:
+        return list(map(repr, x.tolist()))
+    fifth, other = m.groups()
+    # 0.0000D… to .D… to D.…
+    b = np.frombuffer(fifth.replace(b"0.0000", b"."), np.uint8).copy()
+    point = np.flatnonzero(b == ord("."))
+    b[point], b[point + 1] = b[point + 1], ord(".")
+    fifth = b.tobytes().replace(b",", b"e-05,").replace(b".e", b"e")
+    other = re.sub(rb"e-(?=\d,)", b"e-0",
+                   other.replace(b"e", b"e+").replace(b"+-", b"-"))
+    return (fifth + other).decode().split(",")[:-1]
+
+
 def _column_text(c: np.ndarray) -> list:
     """str of each cell. Numbers go through one orjson call, whose shortest
     round-trip digits equal repr's wherever repr writes a float
-    positionally; the rest (nan, inf, |x| < 1e-4 and |x| >= 1e16 but not
-    zero) are overwritten with repr."""
+    positionally. Floats that repr writes in exponent form (0 < |x| < 1e-4
+    or |x| >= 1e16) take their text from _exponent_text, which rewrites
+    orjson's. repr itself writes only nan, ±inf and the cells whose orjson
+    text _exponent_text does not recognise."""
     kind = c.dtype.kind
     if kind not in "biufU":
         raise TypeError(f"unsupported CSV column dtype {c.dtype}")
     if kind in "bU":
         return _unquoted(list(map(str, c.tolist())))
-    import orjson  # not at the top: most commands write no CSV
     c = np.ascontiguousarray(c, dtype=_WIDE[kind])
-    text = (orjson.dumps(c, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-            .decode().split(","))
+    text = _orjson_text(c).decode().split(",")
     if kind == "f":
         a = np.abs(c)
         odd = np.flatnonzero(~((a >= 1e-4) & (a < 1e16) | (c == 0)))
-        for i, x in zip(odd.tolist(), c[odd].tolist()):
-            text[i] = repr(x)
+        if len(odd):
+            a = a[odd]
+            finite = a < np.inf
+            fifth = (a >= 1e-5) & (a < 1e-4)
+            exp = np.concatenate([odd[fifth], odd[finite & ~fifth]])
+            special = odd[~finite]
+            cells = np.array(text, dtype=object)
+            cells[exp] = _exponent_text(c[exp])
+            cells[special] = list(map(repr, c[special].tolist()))
+            text = cells.tolist()
     return text
 
 
@@ -65,7 +109,7 @@ def _write_csv(path, header, columns) -> None:
     """One row per index of the equal-length 1-D columns, in the bytes
     csv.writer writes: str of each cell (floats round-trip exactly), comma
     separated, CRLF line ends. Rows go out in chunks of CSV_CHUNK_ROWS, and
-    each numeric column of a chunk is formatted in one orjson call. No
+    each numeric column of a chunk is formatted by _column_text. No
     cell is ever quoted or empty: a str cell or header name that is empty
     or that csv.writer would quote raises ValueError."""
     cols = [np.asarray(c) for c in columns]

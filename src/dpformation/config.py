@@ -156,21 +156,32 @@ def parse_graph(spec: dict) -> WeightedGraph:
     raise ConfigError("graph spec needs either 'kind' or 'nodes'")
 
 
+# one warnings registry per config file that has issued a range warning,
+# kept for the life of the process as warnings.warn keeps one per module,
+# so that the default filter shows such a warning once per file, line and
+# text
+_REGISTRIES: dict = {}
+
+
 @contextlib.contextmanager
 def _range_warnings(prefix: str, where=None):
     """Issue each privacy range warning of the block again, also when the
-    block raises: its text prefixed with prefix, at where, a (filename,
-    lineno) pair, or else where it was first issued, and filtered as a
-    warning from this module."""
+    block raises: its text prefixed with prefix, into the enclosing block
+    if there is one, else at where, a (filename, lineno) pair, or else at
+    the with statement, as a warning from this module."""
+    caught = []
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", privacy.PrivacyRangeWarning)
+        with privacy.collect_range_warnings(prefix) as caught:
             yield
     finally:
-        for w in caught:
-            warnings.warn_explicit(f"{prefix}{w.message}", w.category,
-                                   *(where or (w.filename, w.lineno)),
-                                   module=__name__)
+        for text in caught:
+            if where:
+                warnings.warn_explicit(
+                    text, privacy.PrivacyRangeWarning, *where,
+                    module=__name__,
+                    registry=_REGISTRIES.setdefault(where[0], {}))
+            else:
+                warnings.warn(text, privacy.PrivacyRangeWarning, stacklevel=3)
 
 
 def parse_privacy(spec, n: int) -> tuple:

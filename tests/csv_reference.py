@@ -1,10 +1,11 @@
 """csv.writer cross-check for the CLI's CSV writer.
 
-cli._write_csv formats whole numeric columns through orjson, falls back to
-repr for the floats that repr writes in exponent form or as nan/inf, and
-joins the rows itself. This is the same output written the direct way, one
-cell at a time through csv.writer, so it lives next to the tests, not in
-the library.
+cli._write_csv formats whole numeric columns through orjson, rewrites
+orjson's text of the floats that repr writes in exponent form into repr's
+spelling, uses repr itself only for nan, ±inf and text the rewrite does
+not recognise, and joins the rows itself. This is the same output written
+the direct way, one cell at a time through csv.writer, so it lives next to
+the tests, not in the library.
 """
 import csv
 

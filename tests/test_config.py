@@ -3,6 +3,7 @@ left as the caller had it, and range warnings that name the config file."""
 import gc
 import io
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpformation import config
-from dpformation.privacy import PrivacyRangeWarning
+from dpformation.privacy import PrivacyParams, PrivacyRangeWarning
 
 # the fast scalar path on each parser PyYAML offers here, so the
 # pure-Python fallback is covered on a machine that has libyaml
@@ -239,6 +240,38 @@ class TestRangeWarnings:
         with pytest.warns(PrivacyRangeWarning) as record:
             config.from_mapping(yaml.safe_load(PER_AGENT))
         assert str(record[0].message).startswith("agent 2: epsilon=5")
+
+    def test_a_repeated_call_warns_once(self, tmp_path):
+        # the default filter's once-per-location rule holds as for a
+        # PrivacyParams built at one line
+        path = tmp_path / "agents.yaml"
+        path.write_text(PER_AGENT)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(3):
+                config.from_mapping(yaml.safe_load(PER_AGENT))
+                config.load(path)
+                PrivacyParams(5.0, 0.001, 1.0)
+        got = [(pathlib.Path(w.filename).name, str(w.message).split("=")[0])
+               for w in caught]
+        # from_mapping's: once per text, wherever they point
+        assert [text for _, text in got[:2]] == ["agent 2: epsilon",
+                                                 "agent 3: delta"]
+        assert got[2:] == [("agents.yaml", "agent 2: epsilon"),
+                           ("agents.yaml", "agent 3: delta"),
+                           ("test_config.py", "epsilon")]
+
+    def test_each_file_warns_once(self, tmp_path):
+        # two files with the same privacy line and text warn once each
+        paths = [tmp_path / "a.yaml", tmp_path / "b.yaml"]
+        for path in paths:
+            path.write_text(SHARED)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for path in paths * 3:
+                config.load(path)
+        assert [(w.filename, w.lineno) for w in caught] == [
+            (str(path), 3) for path in paths]
 
     def test_filters_still_apply(self, tmp_path):
         path = tmp_path / "shared.yaml"

@@ -3,6 +3,8 @@
 cli._write_csv must write the bytes that csv_reference.reference_write_csv
 (one csv.writer call per row) writes, for every column it accepts.
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,8 +82,9 @@ def both_signs(x):
 
 
 class TestShortestReprFormatter:
-    """Numbers go through orjson, and floats outside [1e-4, 1e16) through
-    repr: the two must meet without a seam."""
+    """Numbers go through orjson; floats outside [1e-4, 1e16) get orjson's
+    text rewritten into repr's spelling, or repr itself: they must meet
+    without a seam."""
 
     @SETTINGS
     @given(exps=st.lists(st.floats(-4.0, 16.0, exclude_max=True),
@@ -103,6 +106,61 @@ class TestShortestReprFormatter:
         assert text[:6] == ["9.999999999999999e-05", "9999999999999998.0",
                             "0.0001", "1e+16", "0.00010000000000000002",
                             "1.0000000000000002e+16"]
+
+    def test_both_sides_of_where_orjson_changes_spelling(self, tmp_path):
+        # orjson writes 0.00001 at 1e-5 and 9.999999999999999e-6 below it
+        x = both_signs([np.nextafter(1e-5, 0), 1e-5,
+                        np.nextafter(1e-5, np.inf)])
+        assert_same_bytes(tmp_path, ["x"], [x])
+        text = (tmp_path / "new.csv").read_text().splitlines()[1:]
+        assert text[:3] == ["9.999999999999999e-06", "1e-05",
+                            "1.0000000000000003e-05"]
+
+    @SETTINGS
+    @given(cells=st.lists(st.tuples(st.sampled_from([
+                              (5e-324, np.nextafter(1e-4, 0)),
+                              (1e-4, np.nextafter(1e16, 0)),
+                              (1e16, np.finfo(float).max)]),
+                          st.floats(0, 1), st.booleans()),
+                          min_size=1, max_size=2 * CHUNK + 3))
+    def test_log_uniform_exponent_ranges(self, tmp_path_factory, cells):
+        # magnitudes log-uniform over [5e-324, 1e-4) and [1e16, max],
+        # where repr writes exponent form, mixed in one chunk with
+        # positional ones
+        ends, u, neg = (np.array(v) for v in zip(*cells))
+        lo, hi = np.log(ends.T)
+        with np.errstate(over="ignore"):
+            x = np.clip(np.exp(lo + u * (hi - lo)), *ends.T)
+        x[neg] *= -1
+        assert_same_bytes(tmp_path_factory.mktemp("exp"), ["x", "y"],
+                          [x, x[::-1]])
+
+    def test_exponent_form_without_repr(self, tmp_path, monkeypatch):
+        # the rewrite recognises this orjson's spelling of every
+        # exponent-form cell; only nan and inf reach repr
+        x = both_signs([1e-5, 3.2e-5, np.nextafter(1e-4, 0), 1e-7, 5e-324,
+                        1e16, 1.5e300, np.finfo(float).max, 0.5])
+        monkeypatch.setattr(cli, "repr", None, raising=False)
+        assert_same_bytes(tmp_path, ["x", "y"], [x, x[::-1]])
+
+    @pytest.mark.parametrize("spelling", [
+        lambda t: t.replace(b"e", b"E"),
+        lambda t: re.sub(rb"e(?=\d)", b"e+", t),
+        lambda t: re.sub(rb"(?<![.\d])(\d)e", rb"\1.0e", t),
+        lambda t: re.sub(rb"(0\.0000\d+)", rb"\g<1>0", t),
+        lambda t: re.sub(rb"(\.\d+)e", rb"\g<1>0e", t),
+        lambda t: t.replace(b"0.0000", b"0.00000"),
+    ], ids=["upper-case", "plus", "point-zero", "zero-after-fifth",
+            "zero-before-e", "extra-zero"])
+    def test_unrecognised_spelling_goes_to_repr(self, tmp_path,
+                                                monkeypatch, spelling):
+        # the text must not depend on one orjson release's spelling: an
+        # exponent-form cell spelt otherwise is written by repr
+        x = both_signs([1e-5, 3.2e-5, 1e-7, 1.5e-300, 1e16, 2.5e200])
+        orjson_text = cli._orjson_text
+        monkeypatch.setattr(cli, "_orjson_text",
+                            lambda c: spelling(orjson_text(c)))
+        assert_same_bytes(tmp_path, ["x", "y"], [x, x[::-1]])
 
     def test_powers_of_two_and_their_neighbours(self, tmp_path):
         p = 2.0 ** np.arange(-13, 54)
@@ -181,6 +239,9 @@ def cli_outputs(tmp_path, capsys) -> dict:
                      "--horizon", "120", "--jobs", "1"],
         "table1": ["design", "--table1"],
         "sweep": ["sweep", "--eps-steps", "37", "--lam2-steps", "41"],
+        # near Table I: bounds in [1e-5, 1e-4), written in exponent form
+        "table1_sweep": ["sweep", "--gamma", "1e-4", "--lam2-max", "9500",
+                         "--eps-min", "0.05", "--eps-max", "1.5"],
     }
     files = {}
     for name, argv in calls.items():
@@ -197,5 +258,7 @@ def test_cli_outputs_match_csv_writer(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_write_csv", reference_write_csv)
     ref = cli_outputs(tmp_path / "ref", capsys)
     assert sorted(new) == ["simulate/summary.csv", "simulate/trajectory.csv",
-                           "sweep/surface.csv", "table1/thresholds.csv"]
+                           "sweep/surface.csv", "table1/thresholds.csv",
+                           "table1_sweep/surface.csv"]
+    assert b"e-05\r\n" in new["table1_sweep/surface.csv"]
     assert new == ref
