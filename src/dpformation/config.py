@@ -14,7 +14,6 @@ Schema::
 """
 from __future__ import annotations
 
-import contextlib
 import gc
 import math
 import os
@@ -156,52 +155,28 @@ def parse_graph(spec: dict) -> WeightedGraph:
     raise ConfigError("graph spec needs either 'kind' or 'nodes'")
 
 
-# one warnings registry per config file that has issued a range warning,
-# kept for the life of the process as warnings.warn keeps one per module,
-# so that the default filter shows such a warning once per file, line and
-# text
-_REGISTRIES: dict = {}
-
-
-@contextlib.contextmanager
-def _range_warnings(prefix: str, where=None):
-    """Issue each privacy range warning of the block again, also when the
-    block raises: its text prefixed with prefix, into the enclosing block
-    if there is one, else at where, a (filename, lineno) pair, or else at
-    the with statement, as a warning from this module."""
-    caught = []
-    try:
-        with privacy.collect_range_warnings(prefix) as caught:
-            yield
-    finally:
-        for text in caught:
-            if where:
-                warnings.warn_explicit(
-                    text, privacy.PrivacyRangeWarning, *where,
-                    module=__name__,
-                    registry=_REGISTRIES.setdefault(where[0], {}))
-            else:
-                warnings.warn(text, privacy.PrivacyRangeWarning, stacklevel=3)
-
-
-def parse_privacy(spec, n: int) -> tuple:
+def parse_privacy(spec, n: int, notes: list) -> tuple:
     """One PrivacyParams per agent: a mapping shared by all n, or a list
-    with one mapping per agent, whose count RunConfig checks; a range
-    warning on a list entry names its agent, counted from 1."""
-    def one(d):
+    with one mapping per agent, whose count RunConfig checks. Each entry's
+    privacy.range_notes go on to notes as it is read, a list entry's
+    prefixed with its agent, counted from 1."""
+    def one(d, prefix=""):
         _check_keys(d, ("epsilon", "delta", "b"), "privacy")
-        return privacy.PrivacyParams(*(_real(d[k], k)
-                                       for k in ("epsilon", "delta", "b")))
+        p = privacy.PrivacyParams(*(_real(d[k], k)
+                                    for k in ("epsilon", "delta", "b")))
+        notes.extend(prefix + text
+                     for text in privacy.range_notes(p.epsilon, p.delta))
+        return p
     if not isinstance(spec, list):
         return (one(spec),) * n
-    entries = []
-    for agent, d in enumerate(spec, 1):
-        with _range_warnings(f"agent {agent}: "):
-            entries.append(one(d))
-    return tuple(entries)
+    return tuple(one(d, f"agent {agent}: ")
+                 for agent, d in enumerate(spec, 1))
 
 
-def from_mapping(data: dict) -> RunConfig:
+def _parse(data: dict, notes: list) -> RunConfig:
+    """The RunConfig that data describes; the range notes of its privacy
+    entries go on to notes, for the caller to issue also when a later
+    entry or check raises."""
     _check_keys(data, ("graph", "gamma", "horizon", "trials", "seed",
                        "privacy", "formation"), "the config")
     try:
@@ -213,12 +188,23 @@ def from_mapping(data: dict) -> RunConfig:
             horizon=_integer(data.get("horizon", 100), "horizon"),
             trials=_integer(data.get("trials", 1000), "trials"),
             master_seed=_integer(data.get("seed", 0), "seed"),
-            privacy_params=parse_privacy(data["privacy"], g.n),
+            privacy_params=parse_privacy(data["privacy"], g.n, notes),
             anchors=_reals(data["formation"]["anchors"],
                            "formation anchor"),
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None
+
+
+def from_mapping(data: dict) -> RunConfig:
+    """The RunConfig that data, a config document, describes; a privacy
+    range warning names the line that called this."""
+    notes = []
+    try:
+        return _parse(data, notes)
+    finally:
+        for text in notes:
+            warnings.warn(text, privacy.PrivacyRangeWarning, stacklevel=2)
 
 
 def _read(fh):
@@ -251,6 +237,13 @@ def _read(fh):
     return data, line
 
 
+# one warnings registry per config file that has issued a range warning,
+# kept for the life of the process as warnings.warn keeps one per module,
+# so that the default filter shows such a warning once per file, line and
+# text
+_REGISTRIES: dict = {}
+
+
 def load(path) -> RunConfig:
     """The RunConfig in the YAML file at path; a file that cannot be read
     or parsed is a ConfigError naming the path. A privacy range warning
@@ -266,8 +259,15 @@ def load(path) -> RunConfig:
                           f"{exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a mapping")
-    with _range_warnings("", (os.fspath(path), privacy_line)):
-        return from_mapping(data)
+    notes = []
+    try:
+        return _parse(data, notes)
+    finally:
+        where = os.fspath(path)
+        for text in notes:
+            warnings.warn_explicit(
+                text, privacy.PrivacyRangeWarning, where, privacy_line,
+                module=__name__, registry=_REGISTRIES.setdefault(where, {}))
 
 
 def demo_config() -> RunConfig:

@@ -8,10 +8,7 @@ and K = Q^{-1}(delta).
 """
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,30 +25,19 @@ class PrivacyRangeWarning(UserWarning):
     """Parameters outside the customary ranges; still accepted."""
 
 
-# while it holds a list, a PrivacyParams appends the text of its range
-# warnings to it instead of issuing them
-_RANGE_SINK = contextvars.ContextVar("_RANGE_SINK", default=None)
-
-
-@contextlib.contextmanager
-def collect_range_warnings(prefix: str = ""):
-    """A list of the range warnings that the PrivacyParams built in the
-    block would issue, as their texts prefixed with prefix, for the caller
-    to issue. Inside another such block they go on to the enclosing list
-    at the block's end, also when it raises, and this one is left empty.
-    warnings.catch_warnings would collect them too, but it clears every
-    warnings registry, and with it the once-per-location rule."""
-    caught = []
-    token = _RANGE_SINK.set(caught)
-    try:
-        yield caught
-    finally:
-        _RANGE_SINK.reset(token)
-        caught[:] = [prefix + text for text in caught]
-        outer = _RANGE_SINK.get()
-        if outer is not None:
-            outer.extend(caught)
-            caught.clear()
+def range_notes(epsilon: float, delta: float) -> list[str]:
+    """The texts of the PrivacyRangeWarnings that (epsilon, delta) earns:
+    one for an epsilon outside [0.1, ln 3], one for a delta above 0.01.
+    Empty for customary values; config issues them where it reads a
+    privacy entry, and PrivacyParams itself never warns."""
+    notes = []
+    if not TYPICAL_EPS_LO <= epsilon <= TYPICAL_EPS_HI:
+        notes.append(f"epsilon={epsilon:.4g} outside the customary "
+                     f"range [{TYPICAL_EPS_LO}, ln 3]")
+    if delta > TYPICAL_DELTA_MAX:
+        notes.append(f"delta={delta:.4g} above the customary "
+                     f"maximum {TYPICAL_DELTA_MAX}")
+    return notes
 
 
 # Cephes ndtri (S. L. Moshier), as shipped in scipy.special: rational
@@ -152,19 +138,6 @@ class PrivacyParams:
     def __post_init__(self):
         self.kappa  # checks epsilon and delta, and caches kappa
         graphs.check_positive(self.b, "adjacency radius b")
-        texts = []
-        if not TYPICAL_EPS_LO <= self.epsilon <= TYPICAL_EPS_HI:
-            texts.append(f"epsilon={self.epsilon:.4g} outside the customary "
-                         f"range [{TYPICAL_EPS_LO}, ln 3]")
-        if self.delta > TYPICAL_DELTA_MAX:
-            texts.append(f"delta={self.delta:.4g} above the customary "
-                         f"maximum {TYPICAL_DELTA_MAX}")
-        sink = _RANGE_SINK.get()
-        for text in texts:
-            if sink is None:
-                warnings.warn(text, PrivacyRangeWarning, stacklevel=3)
-            else:
-                sink.append(text)
 
     @cached_property
     def kappa(self) -> float:

@@ -185,8 +185,7 @@ class TestTheorem1Bound:
     def test_overflow_names_the_worst_agent(self):
         # kappa^2 overflows at epsilon = 1e-300; the bound used to be inf
         p = build_perron(build_standard_topology("star", 5, 1.0), 0.2)
-        with pytest.warns(PrivacyRangeWarning):
-            tiny = PrivacyParams(1e-300, 0.00135, 2.0)
+        tiny = PrivacyParams(1e-300, 0.00135, 2.0)
         params = [PrivacyParams(0.5, 0.01, 1.0)] * 4 + [tiny]
         with pytest.raises(NumericalError, match=re.escape(
                 "no finite value of the bound at epsilon=1e-300, "

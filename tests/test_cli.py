@@ -1,4 +1,8 @@
 import argparse
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -780,6 +784,43 @@ class TestBoundsCommand:
         got = float(yaml.safe_load(gamma))
         assert f"gamma must be positive and finite, got {got}" in err
         assert text == ""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("graph: {kind: star, n: 3, w: 1.0}\n"
+         "gamma: 0.2\n"
+         "formation: {anchors: [[0], [1], [2]]}\n"
+         "privacy:\n"
+         "  - {epsilon: 1.0, delta: 0.00135, b: 2.0}\n"
+         "  - {epsilon: 5.0, delta: 0.00135, b: 2.0}\n"
+         "  - {epsilon: 1.0, delta: 0.05, b: 2.0}\n",
+         "{path}:4: PrivacyRangeWarning: agent 2: epsilon=5 outside the "
+         "customary range [0.1, ln 3]\n"
+         "  privacy:\n"
+         "{path}:4: PrivacyRangeWarning: agent 3: delta=0.05 above the "
+         "customary maximum 0.01\n"
+         "  privacy:\n"),
+        ("<<: {privacy: {epsilon: 5.0, delta: 0.00135, b: 2.0}}\n"
+         "graph: {kind: star, n: 3, w: 1.0}\n"
+         "gamma: 0.2\n"
+         "formation: {anchors: [[0], [1], [2]]}\n",
+         "{path}:1: PrivacyRangeWarning: epsilon=5 outside the customary "
+         "range [0.1, ln 3]\n"
+         "  <<: {privacy: {epsilon: 5.0, delta: 0.00135, b: 2.0}}\n"),
+    ], ids=["per-agent", "merged"])
+    def test_range_warnings_on_stderr(self, tmp_path, text, expected):
+        # the whole of stderr under the default filters of a fresh
+        # interpreter, with the source line the warnings module prints
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        path = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "dpformation.cli", "bounds", "--config",
+             str(cfg)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stderr == expected.replace("{path}", str(cfg))
 
 
 class TestRepeatedMain:

@@ -4,6 +4,7 @@ import gc
 import io
 import math
 import pathlib
+import sys
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpformation import config
-from dpformation.privacy import PrivacyParams, PrivacyRangeWarning
+from dpformation.privacy import PrivacyRangeWarning
 
 # the fast scalar path on each parser PyYAML offers here, so the
 # pure-Python fallback is covered on a machine that has libyaml
@@ -217,6 +218,14 @@ class TestRangeWarnings:
                                match="3 privacy entries for 4 agents"):
                 config.load(path)
         assert [w.filename for w in record] == [str(path)] * 2
+        # and before an invalid entry's ValueError
+        path = tmp_path / "invalid.yaml"
+        path.write_text(PER_AGENT.replace("delta: 0.05", "delta: 0.7"))
+        with pytest.warns(PrivacyRangeWarning) as record:
+            with pytest.raises(ValueError, match="got 0.7"):
+                config.load(path)
+        assert [(w.filename, str(w.message).split("=")[0])
+                for w in record] == [(str(path), "agent 2: epsilon")]
 
     @pytest.mark.parametrize("entry", ["load", "from_mapping"])
     def test_short_list_is_the_agent_count_rule(self, tmp_path, entry):
@@ -241,9 +250,18 @@ class TestRangeWarnings:
             config.from_mapping(yaml.safe_load(PER_AGENT))
         assert str(record[0].message).startswith("agent 2: epsilon=5")
 
+    @pytest.mark.parametrize("text", [SHARED, PER_AGENT],
+                             ids=["shared", "per-agent"])
+    def test_from_mapping_names_the_caller(self, text):
+        # not the line in config.py that issues them
+        data = yaml.safe_load(text)
+        with pytest.warns(PrivacyRangeWarning) as record:
+            line = sys._getframe().f_lineno + 1
+            config.from_mapping(data)
+        assert {(w.filename, w.lineno) for w in record} == {(__file__, line)}
+
     def test_a_repeated_call_warns_once(self, tmp_path):
-        # the default filter's once-per-location rule holds as for a
-        # PrivacyParams built at one line
+        # the default filter's once-per-location rule holds
         path = tmp_path / "agents.yaml"
         path.write_text(PER_AGENT)
         with warnings.catch_warnings(record=True) as caught:
@@ -251,15 +269,12 @@ class TestRangeWarnings:
             for _ in range(3):
                 config.from_mapping(yaml.safe_load(PER_AGENT))
                 config.load(path)
-                PrivacyParams(5.0, 0.001, 1.0)
         got = [(pathlib.Path(w.filename).name, str(w.message).split("=")[0])
                for w in caught]
-        # from_mapping's: once per text, wherever they point
-        assert [text for _, text in got[:2]] == ["agent 2: epsilon",
-                                                 "agent 3: delta"]
-        assert got[2:] == [("agents.yaml", "agent 2: epsilon"),
-                           ("agents.yaml", "agent 3: delta"),
-                           ("test_config.py", "epsilon")]
+        assert got == [("test_config.py", "agent 2: epsilon"),
+                       ("test_config.py", "agent 3: delta"),
+                       ("agents.yaml", "agent 2: epsilon"),
+                       ("agents.yaml", "agent 3: delta")]
 
     def test_each_file_warns_once(self, tmp_path):
         # two files with the same privacy line and text warn once each

@@ -14,7 +14,6 @@ from dpformation import (
     q_inverse,
 )
 from dpformation import privacy
-from dpformation.privacy import PrivacyRangeWarning
 from threshold_reference import brentq_q_inverse, q_function
 
 # upper-tail probabilities computed with mpmath at 50 digits
@@ -175,21 +174,40 @@ class TestPrivacyParamsValidation:
             PrivacyParams(eps, delta, b)
 
     def test_atypical_epsilon_warns(self):
-        with pytest.warns(PrivacyRangeWarning):
-            PrivacyParams(5.0, 0.01, 1.0)
-        with pytest.warns(PrivacyRangeWarning):
-            PrivacyParams(0.01, 0.01, 1.0)
+        # range_notes lists the texts that config warns with; both ends of
+        # [0.1, ln 3] are inside, the next float out is not
+        lo, hi = privacy.TYPICAL_EPS_LO, privacy.TYPICAL_EPS_HI
+        for eps in (lo, 0.5, hi):
+            assert privacy.range_notes(eps, 0.01) == []
+        for eps in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf),
+                    5.0, 0.01):
+            assert privacy.range_notes(eps, 0.01) == [
+                f"epsilon={eps:.4g} outside the customary range [0.1, ln 3]"]
 
     def test_atypical_delta_warns(self):
-        with pytest.warns(PrivacyRangeWarning):
-            PrivacyParams(0.5, 0.1, 1.0)
+        top = privacy.TYPICAL_DELTA_MAX
+        assert privacy.range_notes(0.5, top) == []
+        for delta in (math.nextafter(top, 1.0), 0.1):
+            assert privacy.range_notes(0.5, delta) == [
+                f"delta={delta:.4g} above the customary maximum 0.01"]
 
-    @pytest.mark.parametrize("eps, delta", [(1e-3, 0.01), (0.5, 0.1)])
-    def test_warning_names_the_caller(self, eps, delta):
-        # not the dataclass __init__ that runs __post_init__
-        with pytest.warns(PrivacyRangeWarning) as record:
-            PrivacyParams(eps, delta, 1.0)
-        assert [w.filename for w in record] == [__file__]
+    @pytest.mark.parametrize("eps, delta, texts", [
+        (1e-3, 0.01, ["epsilon=0.001 outside the customary range "
+                      "[0.1, ln 3]"]),
+        (0.5, 0.1, ["delta=0.1 above the customary maximum 0.01"]),
+        (math.nextafter(0.1, 0.0), math.nextafter(0.01, 1.0),
+         ["epsilon=0.1 outside the customary range [0.1, ln 3]",
+          "delta=0.01 above the customary maximum 0.01"]),
+    ], ids=["0.001-0.01", "0.5-0.1", "both-just-outside"])
+    def test_range_note_texts(self, eps, delta, texts):
+        # word for word the texts of the PrivacyRangeWarnings config issues
+        assert privacy.range_notes(eps, delta) == texts
+
+    def test_privacy_params_is_silent(self):
+        # it only validates; config issues the range notes of what it reads
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            PrivacyParams(5.0, 0.1, 1.0)
 
     def test_typical_params_silent(self):
         with warnings.catch_warnings():
