@@ -71,9 +71,9 @@ def tile_rng(master_seed, tile: int) -> np.random.Generator:
 # overhead; a block buffer takes 8 KiB per trial
 BLOCK_DRAWS = 1024
 
-# trials per tile of run_trials: a tile's noise and state buffers take
-# TILE_TRIALS * BLOCK_DRAWS * 8 B = 2 MiB each, and the tiles, not the
-# worker threads, set which trials share a generator and a matrix product
+# trials per tile of run_trials: each buffer of a tile takes
+# TILE_TRIALS * BLOCK_DRAWS * 8 B = 2 MiB, and the tiles, not the worker
+# threads, set which trials share a generator and a matrix product
 TILE_TRIALS = 256
 
 
@@ -101,6 +101,53 @@ class TrialEnsemble:
         return self.e_agg_trials.std(axis=1, ddof=1) / math.sqrt(trials)
 
 
+def _mean_square_error(states, dev, out) -> None:
+    """out[j] = mean over agents of (states[j] - its mean)^2 for (rows,
+    count, n) states, by two matrix-vector products with the vector of 1/n.
+    The means wait in out; dev, which may be states, takes the deviations."""
+    avg = np.full(states.shape[-1], 1.0 / states.shape[-1])
+    np.matmul(states, avg, out=out)
+    np.subtract(states, out[..., None], out=dev)
+    np.square(dev, out=dev)
+    np.matmul(dev, avg, out=out)
+
+
+def _run_tile(t_lo, t_hi, state, noise, p, gain, scale, root, x0,
+              master_seed, block, e_agg, traj) -> None:
+    """Run the trials t_lo ... t_hi - 1 of run_trials' tile into their
+    columns of e_agg, and trial 0 into traj, in a worker's flat state
+    buffer and, for the protocol law (gain not None), noise buffer."""
+    count, n = t_hi - t_lo, len(x0)
+    rng = tile_rng(master_seed, t_lo // TILE_TRIALS)
+    # x[0] carries the block's start; x[j + 1] takes step j's
+    # perturbation, to which the recursion adds P x[j] from tmp
+    rows = state[:(block + 2) * count * n].reshape(block + 2, count, n)
+    x, tmp = rows[:-1], rows[-1]
+    x[0] = x0
+    if root is not None:
+        rng.standard_normal(out=tmp)
+        x[0] += tmp @ root  # root is symmetric
+    _mean_square_error(x[:1], tmp[None], e_agg[:1, t_lo:t_hi])
+    if t_lo == 0:
+        traj[0] = x[0, 0]
+    for k in range(1, len(e_agg), block):  # steps k ... k + b - 1
+        b = min(block, len(e_agg) - k)
+        # step-major, so the head is contiguous also for a short block
+        v = (x[1:b + 1] if gain is None
+             else noise[:b * count * n].reshape(b, count, n))
+        rng.standard_normal(out=v)
+        v *= scale
+        if gain is not None:  # gain is symmetric
+            np.matmul(v, gain, out=x[1:b + 1])
+        for j in range(b):
+            np.matmul(x[j], p.matrix, out=tmp)  # P is symmetric
+            x[j + 1] += tmp
+        if t_lo == 0:
+            traj[k:k + b] = x[1:b + 1, 0]
+        x[0] = x[b]
+        _mean_square_error(x[1:b + 1], x[1:b + 1], e_agg[k:k + b, t_lo:t_hi])
+
+
 def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
                master_seed, xbar0=None, jobs: int = 1,
                noise_model: str = "protocol",
@@ -123,8 +170,8 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
 
     noise_model, "protocol" or "network", selects the law of the state
     perturbation z; noise_covariance gives each law's Cov[z]. The network
-    law draws z straight into the state rows; the protocol law draws into
-    a noise block that one matrix product with noise_gain(p) mixes in.
+    law draws z straight into the state rows; only the protocol law holds a
+    noise block, which one matrix product with noise_gain(p) mixes in.
 
     stationary=True adds to the start xbar0 a deviation drawn from its
     stationary law N(0, S), S = U_d M U_d^T with M = p.stationary_modes
@@ -149,97 +196,45 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     # scaled draws through the gain, and the network law's z_i directly
     gain = noise_gain(p) if noise_model == "protocol" else None
     scale = sigmas if gain is not None else np.sqrt(np.diag(cov))
+    root = None
     if stationary:
-        # roundoff leaves the zero eigenvalues of S (the consensus mode, and
-        # more for sigma = 0 or a protocol law with a rank-deficient gain)
-        # slightly negative
+        # roundoff leaves the zero eigenvalues of S (the consensus mode, more
+        # for sigma = 0 or a rank-deficient protocol gain) slightly negative
         ud = p.graph.spectrum[1][:, 1:]
         lam, u = np.linalg.eigh(ud @ p.stationary_modes(cov) @ ud.T)
         root = (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.T
 
     block = max(1, min(-(-BLOCK_DRAWS // n), horizon))
-    # the agent mean as a matrix-vector product
-    avg = np.full(n, 1.0 / n)
-
-    def run_tile(t_lo, t_hi, space):
-        count = t_hi - t_lo
-        rng = tile_rng(master_seed, t_lo // TILE_TRIALS)
-        size = count * block * n
-        noise = space[0][:size]
-        # x[0] carries the block's start; x[j + 1] takes step j's
-        # perturbation, to which the recursion adds P x[j] from tmp, the
-        # head of the noise buffer, free before the first block and once
-        # the perturbations are in x
-        x = space[1][:size + count * n].reshape(block + 1, count, n)
-        tmp = noise[:count * n].reshape(count, n)
-        x[0] = x0
-        if stationary:
-            rng.standard_normal(out=x[1])
-            np.matmul(x[1], root, out=tmp)  # root is symmetric
-            x[0] += tmp
-        e_tile = e_agg[:, t_lo:t_hi]
-        first = t_lo == 0
-
-        def mean_square_error(states, out):
-            """out[j] = mean over agents of (states[j] - its mean)^2 for
-            (rows, count, n) states, as two matrix-vector products with
-            avg. The deviations go to the noise buffer, spent once the
-            block's recursion has run; the agent means wait in out."""
-            dev = noise[:states.size].reshape(states.shape)
-            np.matmul(states, avg, out=out)
-            np.subtract(states, out[..., None], out=dev)
-            np.square(dev, out=dev)
-            np.matmul(dev, avg, out=out)
-
-        mean_square_error(x[:1], e_tile[:1])
-        if first:
-            traj[0] = x[0, 0]
-        for k0 in range(0, horizon, block):
-            b = min(block, horizon - k0)
-            # step-major, so the head is contiguous also for a short block
-            v = (x[1:b + 1] if gain is None
-                 else noise[:b * count * n].reshape(b, count, n))
-            rng.standard_normal(out=v)
-            v *= scale
-            if gain is not None:  # gain is symmetric
-                np.matmul(v, gain, out=x[1:b + 1])
-            for j in range(b):
-                np.matmul(x[j], p.matrix, out=tmp)  # P is symmetric
-                x[j + 1] += tmp
-            if first:
-                traj[k0 + 1:k0 + b + 1] = x[1:b + 1, 0]
-            x[0] = x[b]
-            mean_square_error(x[1:b + 1], e_tile[k0 + 1:k0 + b + 1])
-
     # a one-trial tile would take numpy's matrix-vector product, whose
     # rounding differs from a row of a matrix-matrix product, so a last
     # lone trial joins the tile before it
     starts = list(range(0, max(1, trials - 1), TILE_TRIALS))
     tiles = list(zip(starts, starts[1:] + [trials]))
     workers = min(jobs, len(tiles))
-    shares = [tiles[w::workers] for w in range(workers)]
-
-    def run_share(share, space):
-        for tile in share:
-            run_tile(*tile, space)
-
-    # each worker's flat noise and state buffers, sized for the largest
-    # tile; a tile views their leading parts. They come before the
-    # results, so that once freed they leave a hole the next run reuses,
-    # not a heap top that malloc hands back to the system and the next run
-    # faults in again
+    # per worker, sized for the largest tile: a flat state buffer (block + 1
+    # state rows and tmp's row per trial) and, for the protocol law, a noise
+    # buffer. They come before the results, so that once freed they leave a
+    # hole the next run reuses, not a heap top that malloc hands back to the
+    # system and the next run faults in again
     most = max(hi - lo for lo, hi in tiles) * n  # draws per step
-    spaces = [(np.empty(most * block), np.empty(most * (block + 1)))
+    spaces = [(np.empty(most * (block + 2)),
+               None if gain is None else np.empty(most * block))
               for _ in range(workers)]
     e_agg = np.empty((horizon + 1, trials))
     traj = np.empty((horizon + 1, n))
+
+    def run_share(w):
+        for tile in tiles[w::workers]:
+            _run_tile(*tile, *spaces[w], p, gain, scale, root, x0,
+                      master_seed, block, e_agg, traj)
+
     if workers == 1:
-        run_share(shares[0], spaces[0])
+        run_share(0)
     else:
         # imported here: it loads logging, and one worker needs neither
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_share, shares, spaces))
+            list(pool.map(run_share, range(workers)))
     return TrialEnsemble(e_agg, traj)
 
 

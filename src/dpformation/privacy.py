@@ -31,12 +31,16 @@ def range_notes(epsilon: float, delta: float) -> list[str]:
     Empty for customary values; config issues them where it reads a
     privacy entry, and PrivacyParams itself never warns."""
     notes = []
-    if not TYPICAL_EPS_LO <= epsilon <= TYPICAL_EPS_HI:
-        notes.append(f"epsilon={epsilon:.4g} outside the customary "
-                     f"range [{TYPICAL_EPS_LO}, ln 3]")
-    if delta > TYPICAL_DELTA_MAX:
-        notes.append(f"delta={delta:.4g} above the customary "
-                     f"maximum {TYPICAL_DELTA_MAX}")
+    for name, value, lo, hi, where in (
+            ("epsilon", epsilon, TYPICAL_EPS_LO, TYPICAL_EPS_HI,
+             f"outside the customary range [{TYPICAL_EPS_LO}, ln 3]"),
+            ("delta", delta, -math.inf, TYPICAL_DELTA_MAX,
+             f"above the customary maximum {TYPICAL_DELTA_MAX}")):
+        if not lo <= value <= hi:
+            text = f"{value:.4g}"  # unless it reads as inside the range
+            if lo <= float(text) <= hi:
+                text = repr(float(value))
+            notes.append(f"{name}={text} {where}")
     return notes
 
 

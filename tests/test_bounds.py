@@ -29,7 +29,6 @@ from dpformation import (
     threshold_cell,
     topology_lambda2,
 )
-from dpformation.privacy import PrivacyRangeWarning
 from graph_reference import max_degree, random_connected_graph
 from mc_reference import check_interval_coverage
 from threshold_reference import brentq_epsilon_threshold
@@ -199,12 +198,10 @@ class TestTheorem1Bound:
         for _ in range(30):
             g = random_connected_graph(int(rng.integers(3, 13)), rng)
             p = build_perron(g, 0.5 / max_degree(g))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PrivacyRangeWarning)
-                params = [PrivacyParams(float(rng.uniform(0.1, 1.0)),
-                                        float(rng.uniform(1e-4, 0.01)),
-                                        float(rng.uniform(0.5, 2.0)))
-                          for _ in range(g.n)]
+            params = [PrivacyParams(float(rng.uniform(0.1, 1.0)),
+                                    float(rng.uniform(1e-4, 0.01)),
+                                    float(rng.uniform(0.5, 2.0)))
+                      for _ in range(g.n)]
             scales = [q.b * kappa(q.delta, q.epsilon) for q in params]
             worst = int(np.argmax(scales))
             at = int(rng.integers(1, g.n))

@@ -179,28 +179,35 @@ class TestPrivacyParamsValidation:
         lo, hi = privacy.TYPICAL_EPS_LO, privacy.TYPICAL_EPS_HI
         for eps in (lo, 0.5, hi):
             assert privacy.range_notes(eps, 0.01) == []
-        for eps in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf),
-                    5.0, 0.01):
+        # 4 significant digits, or repr where those would name the end
+        for eps, text in ((math.nextafter(lo, 0.0), "0.09999999999999999"),
+                          (math.nextafter(hi, math.inf), "1.099"),
+                          (5.0, "5"), (0.01, "0.01")):
             assert privacy.range_notes(eps, 0.01) == [
-                f"epsilon={eps:.4g} outside the customary range [0.1, ln 3]"]
+                f"epsilon={text} outside the customary range [0.1, ln 3]"]
 
     def test_atypical_delta_warns(self):
         top = privacy.TYPICAL_DELTA_MAX
         assert privacy.range_notes(0.5, top) == []
-        for delta in (math.nextafter(top, 1.0), 0.1):
+        for delta, text in ((math.nextafter(top, 1.0), "0.010000000000000002"),
+                            (0.1, "0.1")):
             assert privacy.range_notes(0.5, delta) == [
-                f"delta={delta:.4g} above the customary maximum 0.01"]
+                f"delta={text} above the customary maximum 0.01"]
 
     @pytest.mark.parametrize("eps, delta, texts", [
         (1e-3, 0.01, ["epsilon=0.001 outside the customary range "
                       "[0.1, ln 3]"]),
         (0.5, 0.1, ["delta=0.1 above the customary maximum 0.01"]),
         (math.nextafter(0.1, 0.0), math.nextafter(0.01, 1.0),
-         ["epsilon=0.1 outside the customary range [0.1, ln 3]",
-          "delta=0.01 above the customary maximum 0.01"]),
-    ], ids=["0.001-0.01", "0.5-0.1", "both-just-outside"])
+         ["epsilon=0.09999999999999999 outside the customary range "
+          "[0.1, ln 3]",
+          "delta=0.010000000000000002 above the customary maximum 0.01"]),
+        (0.5, 0.010001, ["delta=0.010001 above the customary maximum 0.01"]),
+    ], ids=["0.001-0.01", "0.5-0.1", "both-just-outside", "0.5-0.010001"])
     def test_range_note_texts(self, eps, delta, texts):
-        # word for word the texts of the PrivacyRangeWarnings config issues
+        # word for word the texts of the PrivacyRangeWarnings config issues;
+        # a value that 4 significant digits would round to a range end is
+        # written by repr, so a note never names a value inside the range
         assert privacy.range_notes(eps, delta) == texts
 
     def test_privacy_params_is_silent(self):

@@ -11,6 +11,7 @@ import pytest
 import dpformation
 
 SRC = pathlib.Path(dpformation.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def test_no_assert_statements():
@@ -20,6 +21,51 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the library: {found}"
+
+
+# pyproject and CI support Python 3.10. Neither guard below catches a
+# stdlib API added in 3.11; those fail only when run on 3.10 itself.
+def test_parses_as_python_3_10():
+    # ast's feature_version is best effort: it rejects 3.11-only grammar
+    # such as except*, not every newer form
+    failed = []
+    for path in sorted([*SRC.rglob("*.py"), *TESTS.rglob("*.py")]):
+        try:
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            failed.append(f"{path.name}:{exc.lineno}: {exc.msg}")
+    assert not failed
+
+
+def test_regex_literals_compile_before_python_3_11():
+    # possessive repeats (a*+) and atomic groups ((?>...)) came in 3.11's
+    # re; 3.10 rejects them when the pattern is compiled
+    parser = getattr(re, "_parser", None)
+    constants = getattr(re, "_constants", None)
+    newer = [getattr(constants, name, None)
+             for name in ("POSSESSIVE_REPEAT", "ATOMIC_GROUP")]
+    if parser is None or None in newer:
+        pytest.skip("this re parser has no 3.11 opcodes")
+
+    def leaves(node):
+        if isinstance(node, (list, tuple, parser.SubPattern)):
+            for child in node:
+                yield from leaves(child)
+        else:
+            yield node
+
+    patterns = [node.args[0].value
+                for path in sorted(SRC.rglob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "re"
+                and isinstance(node.args[0], ast.Constant)]
+    assert patterns  # the scan finds the library's regexes
+    for pattern in patterns:
+        assert not any(leaf is op for leaf in leaves(parser.parse(pattern))
+                       for op in newer), pattern
 
 
 @pytest.mark.parametrize("module", ["scipy", "orjson", "concurrent.futures"])
