@@ -151,7 +151,7 @@ def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
     graphs.check_positive(gamma, "gamma")
     graphs.check_positive(e_r, "e_r")
     k = privacy.q_inverse(delta)
-    if kind not in ("impossibility", *TABLE1_KINDS):
+    if kind not in ("impossibility", *graphs.TOPOLOGY_KINDS):
         raise ValueError(f"unknown threshold kind {kind!r}")
     if kind == "impossibility":
         if lambda2 is None:
@@ -187,7 +187,6 @@ def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
     return eps
 
 
-TABLE1_KINDS = graphs.TOPOLOGY_KINDS
 TABLE1_SIZES = (10, 100, 1000, 10000)
 TABLE1_PARAMS = dict(delta=0.01, b=5.0, w=1.0, gamma=1e-4, e_r=100.0)
 
@@ -223,7 +222,7 @@ def reproduce_table1(**overrides) -> list:
     """
     prm = {**TABLE1_PARAMS, **overrides}
     return [threshold_cell(kind, n, **prm)
-            for kind in TABLE1_KINDS for n in TABLE1_SIZES]
+            for kind in graphs.TOPOLOGY_KINDS for n in TABLE1_SIZES]
 
 
 @dataclass(frozen=True)

@@ -47,15 +47,16 @@ def _orjson_text(c: np.ndarray) -> bytes:
 
 
 def _exponent_text(x: np.ndarray) -> list:
-    """repr of each cell of the float64 array x, whose cells repr writes
-    in exponent form, those with 1e-5 <= |x| < 1e-4 first.
+    """repr of each cell of the float64 array x, cells that repr writes in
+    exponent form or as nan or ±inf, those with 1e-5 <= |x| < 1e-4 first.
 
     orjson writes the same shortest digits: (-)0.0000D… from 1e-5 up to
     1e-4, which becomes D.…e-05, and (-)D[.D…]e[-]N elsewhere, whose
     exponent takes repr's sign and two-digit padding. One full match
     checks that every cell is spelt one of these two ways, in that order;
     if any is not, every cell is written by repr, so the text never
-    depends on one orjson release's spelling. Each pass runs in C."""
+    depends on one orjson release's spelling; orjson's null for nan and
+    ±inf takes this path too. Each pass runs in C."""
     # (?<=[1-9]): digits with no trailing zero. Each cell ends at a
     # literal comma and the two forms start with different digits, so
     # backtracking stays within a cell
@@ -78,10 +79,10 @@ def _exponent_text(x: np.ndarray) -> list:
 def _column_text(c: np.ndarray) -> list:
     """str of each cell. Numbers go through one orjson call, whose shortest
     round-trip digits equal repr's wherever repr writes a float
-    positionally. Floats that repr writes in exponent form (0 < |x| < 1e-4
-    or |x| >= 1e16) take their text from _exponent_text, which rewrites
-    orjson's. repr itself writes only nan, ±inf and the cells whose orjson
-    text _exponent_text does not recognise."""
+    positionally. Every other float (0 < |x| < 1e-4, |x| >= 1e16, nan
+    and ±inf) takes its text from _exponent_text, which rewrites orjson's
+    and falls back to repr for a chunk whose orjson text it does not
+    recognise, nan's and inf's null included."""
     kind = c.dtype.kind
     if kind not in "biufU":
         raise TypeError(f"unsupported CSV column dtype {c.dtype}")
@@ -94,13 +95,10 @@ def _column_text(c: np.ndarray) -> list:
         odd = np.flatnonzero(~((a >= 1e-4) & (a < 1e16) | (c == 0)))
         if len(odd):
             a = a[odd]
-            finite = a < np.inf
             fifth = (a >= 1e-5) & (a < 1e-4)
-            exp = np.concatenate([odd[fifth], odd[finite & ~fifth]])
-            special = odd[~finite]
+            odd = np.concatenate([odd[fifth], odd[~fifth]])
             cells = np.array(text, dtype=object)
-            cells[exp] = _exponent_text(c[exp])
-            cells[special] = list(map(repr, c[special].tolist()))
+            cells[odd] = _exponent_text(c[odd])
             text = cells.tolist()
     return text
 
@@ -381,7 +379,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and StepSizeTooLarge included
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (graphs.NumericalError, ArithmeticError) as exc:
+    except (graphs.NumericalError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -175,7 +175,7 @@ def parse_privacy(spec, n: int, notes: list) -> tuple:
 
 def _parse(data: dict, notes: list) -> RunConfig:
     """The RunConfig that data describes; the range notes of its privacy
-    entries go on to notes, for the caller to issue also when a later
+    entries go on to notes, for load to issue also when a later
     entry or check raises."""
     _check_keys(data, ("graph", "gamma", "horizon", "trials", "seed",
                        "privacy", "formation"), "the config")
@@ -194,17 +194,6 @@ def _parse(data: dict, notes: list) -> RunConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None
-
-
-def from_mapping(data: dict) -> RunConfig:
-    """The RunConfig that data, a config document, describes; a privacy
-    range warning names the line that called this."""
-    notes = []
-    try:
-        return _parse(data, notes)
-    finally:
-        for text in notes:
-            warnings.warn(text, privacy.PrivacyRangeWarning, stacklevel=2)
 
 
 def _read(fh):

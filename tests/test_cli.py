@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dpformation import bounds, corollary1_bound, graphs
+from dpformation import bounds, config, corollary1_bound, graphs
 from dpformation.cli import build_parser, main
 from dpformation.privacy import PrivacyRangeWarning
 
@@ -200,8 +200,9 @@ class TestSimulate:
         assert not (tmp_path / "o").exists()
 
     def test_anchors_are_one_float_matrix(self, tmp_path, capsys):
-        from dpformation.config import from_mapping
-        anchors = from_mapping(yaml.safe_load(DEMO_CONFIG)).anchors
+        cfg = tmp_path / "demo.yaml"
+        cfg.write_text(DEMO_CONFIG)
+        anchors = config.load(cfg).anchors
         assert anchors.dtype == float and anchors.shape == (5, 2)
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(DEMO_CONFIG.replace(", [-20, -20]]", "]"))
@@ -349,7 +350,9 @@ class TestDesign:
                    if isinstance(a, argparse._SubParsersAction))
         kind = next(a for a in sub.choices["design"]._actions
                     if a.dest == "kind")
-        assert bounds.TABLE1_KINDS is graphs.TOPOLOGY_KINDS
+        assert tuple(dict.fromkeys(
+            cell.kind for cell in bounds.reproduce_table1())) == \
+            graphs.TOPOLOGY_KINDS
         assert tuple(kind.choices) == graphs.TOPOLOGY_KINDS
 
     def test_defaults_are_the_table1_parameters(self):
@@ -672,6 +675,27 @@ def test_simulate_overflow_exits_3(tmp_path, capsys):
         == []
     assert text == ""
     assert list(out.iterdir()) == []  # no summary.csv, no trajectory.csv
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("dpformation.dynamics.run_trials",
+     ["simulate", "--horizon", "1000000000"]),
+    ("dpformation.bounds.corollary1_bound",
+     ["sweep", "--eps-steps", "100000", "--lam2-steps", "100000"]),
+], ids=["simulate", "sweep"])
+def test_allocation_failure_exits_3(tmp_path, capsys, monkeypatch, target,
+                                    argv):
+    # an array too large to allocate used to escape as numpy's
+    # _ArrayMemoryError traceback with exit 1; the allocation is faked
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+    monkeypatch.setattr(target, refuse)
+    code, text, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert err == ("numerical failure: Unable to allocate 7.28 TiB for an "
+                   "array\n")
+    assert text == ""
+    assert list((tmp_path / "o").glob("*")) == []  # no CSV
 
 
 @pytest.mark.parametrize("command", ["simulate", "bounds"])

@@ -4,7 +4,6 @@ import gc
 import io
 import math
 import pathlib
-import sys
 import warnings
 
 import numpy as np
@@ -227,38 +226,18 @@ class TestRangeWarnings:
         assert [(w.filename, str(w.message).split("=")[0])
                 for w in record] == [(str(path), "agent 2: epsilon")]
 
-    @pytest.mark.parametrize("entry", ["load", "from_mapping"])
-    def test_short_list_is_the_agent_count_rule(self, tmp_path, entry):
+    def test_short_list_is_the_agent_count_rule(self, tmp_path):
         # RunConfig holds the one agent-count rule; the entries are parsed,
         # and their warnings issued, before it runs
-        text = PER_AGENT.replace("n: 3", "n: 4").replace(
-            "[[0], [1], [2]]", "[[0], [1], [2], [3]]")
         path = tmp_path / "short.yaml"
-        path.write_text(text)
-        read = {"load": lambda: config.load(path),
-                "from_mapping": lambda: config.from_mapping(
-                    yaml.safe_load(text))}[entry]
+        path.write_text(PER_AGENT.replace("n: 3", "n: 4").replace(
+            "[[0], [1], [2]]", "[[0], [1], [2], [3]]"))
         with pytest.warns(PrivacyRangeWarning) as record:
             with pytest.raises(config.ConfigError,
                                match=r"^3 privacy entries for 4 agents$"):
-                read()
+                config.load(path)
         assert [str(w.message).split("=")[0] for w in record] == [
             "agent 2: epsilon", "agent 3: delta"]
-
-    def test_from_mapping_names_the_agent(self):
-        with pytest.warns(PrivacyRangeWarning) as record:
-            config.from_mapping(yaml.safe_load(PER_AGENT))
-        assert str(record[0].message).startswith("agent 2: epsilon=5")
-
-    @pytest.mark.parametrize("text", [SHARED, PER_AGENT],
-                             ids=["shared", "per-agent"])
-    def test_from_mapping_names_the_caller(self, text):
-        # not the line in config.py that issues them
-        data = yaml.safe_load(text)
-        with pytest.warns(PrivacyRangeWarning) as record:
-            line = sys._getframe().f_lineno + 1
-            config.from_mapping(data)
-        assert {(w.filename, w.lineno) for w in record} == {(__file__, line)}
 
     def test_a_repeated_call_warns_once(self, tmp_path):
         # the default filter's once-per-location rule holds
@@ -267,13 +246,10 @@ class TestRangeWarnings:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             for _ in range(3):
-                config.from_mapping(yaml.safe_load(PER_AGENT))
                 config.load(path)
         got = [(pathlib.Path(w.filename).name, str(w.message).split("=")[0])
                for w in caught]
-        assert got == [("test_config.py", "agent 2: epsilon"),
-                       ("test_config.py", "agent 3: delta"),
-                       ("agents.yaml", "agent 2: epsilon"),
+        assert got == [("agents.yaml", "agent 2: epsilon"),
                        ("agents.yaml", "agent 3: delta")]
 
     def test_each_file_warns_once(self, tmp_path):

@@ -116,3 +116,35 @@ def test_readme_library_sketch_runs():
         [sys.executable, "-W", "error::RuntimeWarning", "-c", blocks[0]],
         env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_public_functions_have_a_library_caller():
+    # ROADMAP aim 2: a helper used only by tests belongs in tests/. Every
+    # public module-level function and class is named in the library
+    # outside its own definition, or in the README's python block; a
+    # re-export in __init__.py is not a use
+    def places(tree, module):
+        """(name, (module, top-level definition it sits in)) per name."""
+        for top in tree.body:
+            owner = (module, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    yield node.id, owner
+                elif isinstance(node, ast.Attribute):
+                    yield node.attr, owner
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block, = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.rglob("*.py"))
+             if path.name != "__init__.py"}
+    named = {}
+    for module, tree in [*trees.items(), ("README", ast.parse(block))]:
+        for name, place in places(tree, module):
+            named.setdefault(name, set()).add(place)
+    unused = [f"{module}.{node.name}" for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and not named.get(node.name, set()) - {(module, node.name)}]
+    assert not unused, f"public names with no library caller: {unused}"
