@@ -109,17 +109,21 @@ def _write_csv(path, header, columns) -> None:
     separated, CRLF line ends. Rows go out in chunks of CSV_CHUNK_ROWS, and
     each numeric column of a chunk is formatted by _column_text. No
     cell is ever quoted or empty: a str cell or header name that is empty
-    or that csv.writer would quote raises ValueError."""
+    or that csv.writer would quote raises ValueError, and so does a path
+    that cannot be opened or written, naming it."""
     cols = [np.asarray(c) for c in columns]
     n_rows = len(cols[0]) if cols else 0
     if any(c.ndim != 1 or len(c) != n_rows for c in cols):
         raise ValueError("CSV columns must be 1-D and of equal length")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_unquoted(header)) + "\r\n")
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            cells = [_column_text(c[start:start + CSV_CHUNK_ROWS])
-                     for c in cols]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(_unquoted(header)) + "\r\n")
+            for start in range(0, n_rows, CSV_CHUNK_ROWS):
+                cells = [_column_text(c[start:start + CSV_CHUNK_ROWS])
+                         for c in cols]
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _make_out_dir(path) -> None:
@@ -130,22 +134,6 @@ def _make_out_dir(path) -> None:
     except OSError as exc:
         raise ValueError(f"cannot create output directory {path}: "
                          f"{exc.strerror}") from None
-
-
-def _per_dimension_runs(cfg: config.RunConfig, p, sigmas, jobs):
-    """One scalar Monte Carlo run per formation dimension.
-
-    Dimension l uses master key (seed, l); run_trials' tile i within it
-    draws from key (seed, l, i). A scalar run seeded with (seed, l)
-    therefore reproduces dimension l of the full run exactly.
-    """
-    runs = []
-    for l in range(cfg.anchors.shape[1]):
-        q = cfg.anchors[:, l]
-        ens = dynamics.run_trials(p, sigmas, cfg.horizon, cfg.trials,
-                                  (cfg.master_seed, l), xbar0=-q, jobs=jobs)
-        runs.append((q, ens))
-    return runs
 
 
 def cmd_simulate(args) -> int:
@@ -170,40 +158,44 @@ def cmd_simulate(args) -> int:
     exact = bounds.exact_ess_oracle(
         p, dynamics.noise_covariance(p, sigmas, "protocol"))
     _make_out_dir(args.out)
-    h, n = cfg.horizon + 1, cfg.graph.n
-    # per dimension: the (h, n) states and errors of trial 0 and the (h,)
-    # mean squared error and its 95% half-width; a value that overflows is
+    # one scalar run per formation dimension: dimension l starts from -q_l
+    # and uses master key (seed, l); run_trials' tile i within it draws
+    # from key (seed, l, i). A scalar run seeded with (seed, l) therefore
+    # reproduces dimension l of the full run exactly.
+    anchors = cfg.anchors.T  # (d, n): row l is q_l
+    runs = [dynamics.run_trials(p, sigmas, cfg.horizon, cfg.trials,
+                                (cfg.master_seed, l), xbar0=-q, jobs=jobs)
+            for l, q in enumerate(anchors)]
+    # the (d, h, n) states and errors of trial 0 and the (d, h) mean
+    # squared error and its 95% half-width; a value that overflows is
     # reported below, not by a numpy warning
-    series = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for q, ens in _per_dimension_runs(cfg, p, sigmas, jobs):
-            t = ens.first_trajectory  # xbar of trial 0
-            series.append((t + q, t - t.mean(axis=1, keepdims=True),
-                           ens.e_agg_mean, 1.96 * ens.e_agg_sem))
-    for l, values in enumerate(series, 1):
-        for what, v in zip(("state", "error", "e_agg_mean", "e_agg_ci"),
-                           values):
-            graphs.check_finite(v.reshape(h, -1), what, dimension=l,
+        t = np.stack([ens.first_trajectory for ens in runs])  # trial 0 xbar
+        states = t + anchors[:, None, :]
+        errors = t - t.mean(axis=2, keepdims=True)
+        means = np.stack([ens.e_agg_mean for ens in runs])
+        cis = 1.96 * np.stack([ens.e_agg_sem for ens in runs])
+    d, h, n = states.shape
+    for l in range(d):
+        for what, v in (("state", states), ("error", errors),
+                        ("e_agg_mean", means), ("e_agg_ci", cis)):
+            graphs.check_finite(v[l].reshape(h, -1), what, dimension=l + 1,
                                 step=np.arange(h)[:, None])
     print(f"per-dimension e_ss upper bound: {_fmt(bound)}")
     print(f"exact per-dimension e_ss:       {_fmt(exact)}")
 
-    d = len(series)
-    dims = np.arange(1, d + 1)
-    states, errors, means, cis = (np.concatenate([v.ravel() for v in col])
-                                  for col in zip(*series))
+    dim, step, agent = np.indices(states.shape)
     _write_csv(os.path.join(args.out, "trajectory.csv"),
                ["step", "agent", "dimension", "state", "error"],
-               [np.tile(np.repeat(np.arange(h), n), d),
-                np.tile(np.arange(1, n + 1), h * d),
-                np.repeat(dims, h * n), states, errors])
+               [step.ravel(), agent.ravel() + 1, dim.ravel() + 1,
+                states.ravel(), errors.ravel()])
+    dim, step = np.indices(means.shape)
     _write_csv(os.path.join(args.out, "summary.csv"),
                ["step", "dimension", "e_agg_mean", "e_agg_ci"],
-               [np.tile(np.arange(h), d), np.repeat(dims, h), means, cis])
+               [step.ravel(), dim.ravel() + 1, means.ravel(), cis.ravel()])
 
-    tail_start = cfg.horizon + 1 - max((cfg.horizon + 1) // 4, 1)
-    for l, (_, _, mean, _) in enumerate(series, 1):
-        tail_max = float(mean[tail_start:].max())
+    tail_start = h - max(h // 4, 1)
+    for l, tail_max in enumerate(means[:, tail_start:].max(axis=1), 1):
         status = "<=" if tail_max <= bound else ">"
         print(f"dimension {l}: tail e_agg max {_fmt(tail_max)} "
               f"{status} bound {_fmt(bound)}")

@@ -136,6 +136,16 @@ def _reals(value, what: str):
     return _real(value, what)
 
 
+def _edge(entry) -> tuple:
+    """The 0-based (i, j, w) of a 1-based [i, j, w] graph edges entry."""
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise ConfigError("graph edges entries must be [i, j, w] triples, "
+                          f"got {entry!r}")
+    i, j, w = entry
+    return (_integer(i, "edge endpoint") - 1, _integer(j, "edge endpoint") - 1,
+            _real(w, "edge weight"))
+
+
 def parse_graph(spec: dict) -> WeightedGraph:
     """A named topology (kind, n, w) or an edge list (nodes, edges); a
     key of the other form is refused, not ignored."""
@@ -147,10 +157,11 @@ def parse_graph(spec: dict) -> WeightedGraph:
             _real(spec.get("w", 1.0), "graph w"))
     if "nodes" in spec:
         _check_keys(spec, ("nodes", "edges"), "a graph with 'nodes'")
-        edges = tuple((_integer(i, "edge endpoint") - 1,
-                       _integer(j, "edge endpoint") - 1,
-                       _real(w, "edge weight"))
-                      for i, j, w in spec.get("edges", []))
+        edges = spec.get("edges", [])
+        if not isinstance(edges, list):
+            raise ConfigError("graph edges must be a list of [i, j, w] "
+                              f"triples, got {edges!r}")
+        edges = tuple(map(_edge, edges))
         return WeightedGraph(_integer(spec["nodes"], "graph nodes"), edges)
     raise ConfigError("graph spec needs either 'kind' or 'nodes'")
 

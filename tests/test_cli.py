@@ -155,6 +155,61 @@ class TestSimulate:
         assert code == 0
         assert seen == [3, 3]  # one run per formation dimension
 
+    @pytest.mark.parametrize("d, trials, jobs", [
+        (1, 257, 2), (2, 1, 2), (3, 257, 2), (3, 1, 1)])
+    def test_each_dimension_is_its_scalar_run(self, tmp_path, capsys,
+                                              monkeypatch, d, trials, jobs):
+        # dimension l of a d-column formation is the scalar run from -q_l
+        # keyed by (seed, l), and the CSVs hold exactly those runs' rows
+        from csv_reference import reference_write_csv
+        from dpformation import dynamics
+        anchors = np.random.default_rng(d).uniform(-20, 20, (5, d)).round(3)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(DEMO_CONFIG.replace(
+            "[[0, 0], [-20, 20], [20, 20], [20, -20], [-20, -20]]",
+            str(anchors.tolist())))
+        calls = []
+        run_trials = dynamics.run_trials
+
+        def spy(*args, **kw):
+            calls.append((args, kw, run_trials(*args, **kw)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(dynamics, "run_trials", spy)
+        out = tmp_path / "o"
+        code, _, _ = run(capsys, "simulate", "--config", str(cfg),
+                         "--trials", str(trials), "--horizon", "20",
+                         "--jobs", str(jobs), "--out", str(out))
+        assert code == 0
+        loaded = config.load(cfg)
+        p = graphs.build_perron(loaded.graph, loaded.gamma)
+        assert len(calls) == d
+        trajectory, summary = [], []
+        for l, (args, kw, ens) in enumerate(calls):
+            q = anchors[:, l]
+            assert np.array_equal(args[1], loaded.sigmas)
+            assert args[2:] == (20, trials, (7, l))
+            assert np.array_equal(kw["xbar0"], -q)
+            assert kw["jobs"] == jobs
+            scalar = run_trials(p, loaded.sigmas, 20, trials, (7, l), xbar0=-q)
+            assert np.array_equal(ens.e_agg_trials, scalar.e_agg_trials)
+            t = scalar.first_trajectory
+            assert np.array_equal(ens.first_trajectory, t)
+            err = t - t.mean(axis=1, keepdims=True)
+            for step in range(21):
+                summary.append((step, l + 1, scalar.e_agg_mean[step],
+                                1.96 * scalar.e_agg_sem[step]))
+                trajectory.extend((step, agent + 1, l + 1,
+                                   t[step, agent] + q[agent], err[step, agent])
+                                  for agent in range(5))
+        for name, header, rows in [
+                ("trajectory.csv",
+                 ["step", "agent", "dimension", "state", "error"], trajectory),
+                ("summary.csv",
+                 ["step", "dimension", "e_agg_mean", "e_agg_ci"], summary)]:
+            reference_write_csv(tmp_path / name, header, zip(*rows))
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_seed_exits_2_before_output(self, tmp_path, capsys,
                                                   where):
@@ -713,6 +768,41 @@ def test_unreadable_config_exits_2(tmp_path, capsys, command, case):
     assert f"config file {cfg}" in err
     assert text == ""
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+@pytest.mark.parametrize("edges", ["5", "[1, 2]", "null", "[[1, 2]]", '"12"',
+                                   "[[1, 2, 1.0, 4]]"])
+def test_malformed_edge_list_exits_2(tmp_path, capsys, command, edges):
+    # the first three used to end in a TypeError traceback with exit 1, the
+    # others in a validation error that named no config key
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(EDGE_LIST_CONFIG.replace("[[1, 2, 1.0], [2, 3, 0.5]]",
+                                            edges))
+    out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+    code, text, err = run(capsys, command, "--config", str(cfg), *out)
+    assert code == 2
+    assert err.startswith("validation error: graph edges")
+    assert len(err.splitlines()) == 1
+    assert text == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--trials", "5"], "trajectory.csv"),
+    (["simulate", "--trials", "5"], "summary.csv"),
+    (["design", "--table1"], "thresholds.csv"),
+    (["sweep"], "surface.csv")],
+    ids=["simulate-trajectory", "simulate-summary", "design", "sweep"])
+def test_unwritable_csv_exits_2(tmp_path, capsys, argv, name):
+    # a directory where the CSV goes used to end in an IsADirectoryError
+    # traceback with exit 1
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err == f"validation error: cannot write {out / name}: " \
+                  "Is a directory\n"
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--trials", "5"], ["design"],

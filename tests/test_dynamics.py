@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +9,6 @@ from dpformation import (
     averaging_window,
     build_perron,
     build_standard_topology,
-    cli,
-    demo_config,
     estimate_ess,
     exact_ess_oracle,
     noise_covariance,
@@ -407,20 +404,6 @@ class TestRunTrialsMemory:
 
 
 class TestDimensionDecomposition:
-    def test_multidim_run_equals_scalar_runs(self):
-        # simulate runs dimension l of a 2-D formation as the scalar run
-        # from -q_l keyed by (seed, l); exact equality
-        cfg = replace(demo_config(), master_seed=77, trials=4, horizon=25)
-        p = build_perron(cfg.graph, cfg.gamma)
-        runs = cli._per_dimension_runs(cfg, p, cfg.sigmas, jobs=2)
-        assert cfg.anchors.shape[1] == len(runs) == 2
-        for l, (q, full) in enumerate(runs):
-            assert np.array_equal(q, cfg.anchors[:, l])
-            scalar = run_trials(p, cfg.sigmas, 25, 4, (77, l), xbar0=-q)
-            assert np.array_equal(full.e_agg_trials, scalar.e_agg_trials)
-            assert np.array_equal(full.first_trajectory,
-                                  scalar.first_trajectory)
-
     def test_tile_rng_keying(self):
         # an int master seed s keys tile i as (s, i), a tuple as (*s, i),
         # behind the key's length
