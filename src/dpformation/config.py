@@ -17,6 +17,8 @@ from __future__ import annotations
 import gc
 import math
 import os
+import re
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -65,6 +67,11 @@ class RunConfig:
             raise ConfigError("formation anchors must be finite")
         if self.horizon < 1 or self.trials < 1:
             raise ConfigError("horizon and trials must be >= 1")
+        # the largest count a C ssize_t, so an array shape, can hold
+        for key, count in (("horizon", self.horizon), ("trials", self.trials)):
+            if count > sys.maxsize:
+                raise ConfigError(f"{key} must be at most {sys.maxsize}, "
+                                  f"got {count}")
         if self.master_seed < 0:
             raise ConfigError(
                 f"seed must be non-negative, got {self.master_seed}")
@@ -74,23 +81,53 @@ class RunConfig:
         return np.array([privacy.noise_scale(p) for p in self.privacy_params])
 
 
-_SCALARS = {tag: yaml.constructor.SafeConstructor.yaml_constructors[tag]
-            for tag in (f"tag:yaml.org,2002:{name}"
-                        for name in ("null", "bool", "int", "float", "str"))}
+_TAG = "tag:yaml.org,2002:"
+_INT, _FLOAT, _SEQ = _TAG + "int", _TAG + "float", _TAG + "seq"
+_SCALARS = {_TAG + name:
+            yaml.constructor.SafeConstructor.yaml_constructors[_TAG + name]
+            for name in ("null", "bool", "int", "float", "str")}
+# the plain decimal spellings for which PyYAML's resolver gives the int or
+# float tag and its constructor the value int() or float() gives; group 1
+# is a float's fraction and exponent. 017 (octal), 1_000, 0x1F, +1, 1:30,
+# .5, 1.0E+1 and 1e1 (a str) are not among them.
+_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+(?:e[-+][0-9]+)?)?")
 
 
 class _DirectScalars:
-    """Loader mixin: a scalar tagged null, bool, int, float or str is built
-    by its SafeConstructor function directly. It is an immutable leaf, so
-    the inherited construct_object's alias and recursion tables and its
-    generator draining do nothing for it; every other node still goes
-    there, so aliased collections stay one object."""
+    """Loader mixin for what fills a config, flat lists of plain decimal
+    numbers. Such a number is tagged without PyYAML's implicit-resolver
+    table and built by int() or float(); another scalar tagged null, bool,
+    int, float or str is built by its SafeConstructor function. A scalar
+    is an immutable leaf, so the inherited construct_object's alias and
+    recursion tables and its generator draining do nothing for it. A list
+    of scalars alone is built at once and recorded, so an aliased one
+    stays one object; every other node goes through the inherited
+    construct_object."""
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0]:
+            decimal = _DECIMAL.fullmatch(value)
+            if decimal:
+                return _FLOAT if decimal[1] else _INT
+        return super().resolve(kind, value, implicit)
 
     def construct_object(self, node, deep=False):
-        if type(node) is yaml.ScalarNode:
-            build = _SCALARS.get(node.tag)
+        kind = type(node)
+        if kind is yaml.ScalarNode:
+            tag = node.tag
+            if tag == _INT or tag == _FLOAT:
+                decimal = _DECIMAL.fullmatch(node.value)
+                if decimal and tag == (_FLOAT if decimal[1] else _INT):
+                    return (float if decimal[1] else int)(node.value)
+            build = _SCALARS.get(tag)
             if build is not None:
                 return build(self, node)
+        elif (kind is yaml.SequenceNode and node.tag == _SEQ
+                and node not in self.constructed_objects
+                and all(type(item) is yaml.ScalarNode for item in node.value)):
+            data = self.constructed_objects[node] = [
+                self.construct_object(item) for item in node.value]
+            return data
         return super().construct_object(node, deep)
 
 
@@ -162,7 +199,16 @@ def parse_graph(spec: dict) -> WeightedGraph:
             raise ConfigError("graph edges must be a list of [i, j, w] "
                               f"triples, got {edges!r}")
         edges = tuple(map(_edge, edges))
-        return WeightedGraph(_integer(spec["nodes"], "graph nodes"), edges)
+        nodes = _integer(spec["nodes"], "graph nodes")
+        try:
+            return WeightedGraph(nodes, edges)
+        except ValueError as exc:
+            if not hasattr(exc, "template"):
+                raise
+            # name the nodes as the file counts them, from 1
+            i, j, *rest = exc.values
+            text = exc.template.format(i + 1, j + 1, *rest)
+            raise ConfigError(text) from None
     raise ConfigError("graph spec needs either 'kind' or 'nodes'")
 
 

@@ -52,6 +52,16 @@ def check_float_agents(n: int) -> None:
         raise NumericalError(f"n = {n} agents is too large for a float")
 
 
+def _edge_error(template: str, *values) -> ValueError:
+    """ValueError(template.format(*values)) for a refused edge. The
+    template and the values, whose first two are the edge's nodes counted
+    from 0, stay on the error as data, so that a caller whose nodes are
+    counted from 1 can re-word it."""
+    exc = ValueError(template.format(*values))
+    exc.template, exc.values = template, values
+    return exc
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected simple weighted graph on nodes 0..n-1.
@@ -71,15 +81,15 @@ class WeightedGraph:
         normalized = []
         for (i, j, w) in self.edges:
             if i == j:
-                raise ValueError(f"self-loop on node {i}")
+                raise _edge_error("self-loop on node {0}", i, j)
             if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range")
+                raise _edge_error("edge ({0},{1}) out of range", i, j)
             if not (math.isfinite(w) and w > 0):
-                raise ValueError(f"edge ({i},{j}) has weight {w}; weights "
-                                 "must be finite and positive")
+                raise _edge_error("edge ({0},{1}) has weight {2}; weights "
+                                  "must be finite and positive", i, j, w)
             key = (min(i, j), max(i, j))
             if key in seen:
-                raise ValueError(f"duplicate edge {key}")
+                raise _edge_error("duplicate edge ({0}, {1})", *key)
             seen.add(key)
             normalized.append((key[0], key[1], float(w)))
         object.__setattr__(self, "edges", tuple(sorted(normalized)))

@@ -788,6 +788,56 @@ def test_malformed_edge_list_exits_2(tmp_path, capsys, command, edges):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+@pytest.mark.parametrize("edges, message", [
+    ("[[1, 1, 1.0], [2, 3, 0.5]]", "self-loop on node 1"),
+    ("[[1, 9, 1.0], [2, 3, 0.5]]", "edge (1,9) out of range"),
+    ("[[0, 1, 1.0], [2, 3, 0.5]]", "edge (0,1) out of range"),
+    ("[[1, 2, 1.0], [2, 1, 0.5]]", "duplicate edge (1, 2)"),
+    ("[[1, 2, 1.0], [2, 3, -0.5]]",
+     "edge (2,3) has weight -0.5; weights must be finite and positive")],
+    ids=["self-loop", "out-of-range", "node-0", "duplicate", "weight"])
+def test_graph_errors_name_nodes_as_the_file_does(tmp_path, capsys, command,
+                                                  edges, message):
+    # each used to name the nodes one lower than the file wrote them
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(EDGE_LIST_CONFIG.replace("[[1, 2, 1.0], [2, 3, 0.5]]",
+                                            edges))
+    out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+    code, text, err = run(capsys, command, "--config", str(cfg), *out)
+    assert code == 2
+    assert err == f"validation error: {message}\n"
+    assert text == ""
+    assert not (tmp_path / "o").exists()
+
+
+BIG_COUNT = "99999999999999999999999999999"
+
+
+@pytest.mark.parametrize("key", ["trials", "horizon"])
+@pytest.mark.parametrize("command, source", [
+    ("simulate", "config"), ("bounds", "config"), ("simulate", "flag")])
+def test_count_above_maxsize_exits_2(tmp_path, capsys, key, command, source):
+    # simulate used to fail with a numerical failure that named no key,
+    # and bounds to accept the count
+    cfg = tmp_path / "run.yaml"
+    if source == "config":
+        cfg.write_text(DEMO_CONFIG.replace(
+            {"trials": "trials: 50", "horizon": "horizon: 100"}[key],
+            f"{key}: {BIG_COUNT}"))
+        flag = []
+    else:
+        cfg.write_text(DEMO_CONFIG)
+        flag = [f"--{key}", BIG_COUNT]
+    out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+    code, text, err = run(capsys, command, "--config", str(cfg), *flag, *out)
+    assert code == 2
+    assert err == (f"validation error: {key} must be at most {sys.maxsize}, "
+                   f"got {BIG_COUNT}\n")
+    assert text == ""
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv, name", [
     (["simulate", "--trials", "5"], "trajectory.csv"),
     (["simulate", "--trials", "5"], "summary.csv"),

@@ -4,6 +4,7 @@ import gc
 import io
 import math
 import pathlib
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from yaml.constructor import SafeConstructor
 
 from dpformation import config
 from dpformation.privacy import PrivacyRangeWarning
@@ -110,6 +112,67 @@ def test_safe_dump_round_trip(doc):
     assert shape(config._read(io.StringIO(text))[0]) == shape(doc)
 
 
+# the YAML 1.1 number spellings next to the plain decimal ones that the
+# loaders read directly: each must read as yaml.SafeLoader reads it
+SPELLINGS = ("-0", "-0.0", "017", "00", "1_000", "0x1F", "0b101", "+1",
+             "1:30", ".5", "0.", "1.0e+5", "1.0E+5", "1e3", ".inf", "-.Inf",
+             ".nan")
+spellings = (st.sampled_from(SPELLINGS) | st.integers().map(str)
+             | st.floats(allow_nan=False, allow_infinity=False).map(repr))
+# an entry written plain, quoted or with an explicit tag
+WRITINGS = ("{}", '"{}"', "'{}'", "!!int {}", "!!float {}", "!!str {}")
+
+
+@st.composite
+def flow_lists(draw):
+    """A YAML flow list of flat flow lists of those spellings, some
+    scalars and rows anchored and aliased later."""
+    scalars, lists, rows = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if lists and draw(st.booleans()):
+            rows.append("*" + draw(st.sampled_from(lists)))
+            continue
+        items = []
+        for _ in range(draw(st.integers(0, 5))):
+            if scalars and draw(st.integers(0, 4)) == 0:
+                items.append("*" + draw(st.sampled_from(scalars)))
+                continue
+            item = draw(st.sampled_from(WRITINGS)).format(draw(spellings))
+            if draw(st.integers(0, 4)) == 0:
+                scalars.append(f"s{len(scalars)}")
+                item = f"&{scalars[-1]} {item}"
+            items.append(item)
+        row = "[" + ", ".join(items) + "]"
+        if draw(st.booleans()):
+            lists.append(f"l{len(lists)}")
+            row = f"&{lists[-1]} {row}"
+        rows.append(row)
+    return "[" + ", ".join(rows) + "]"
+
+
+def outcome(load, text):
+    """shape() of the rows that load reads from text, with each row's
+    first position among rows that are the same list; or the type and
+    message of the error it raises (an explicit !!int .5, say)."""
+    try:
+        rows = load(text)
+    except (ValueError, yaml.YAMLError) as exc:
+        return type(exc).__name__, str(exc)
+    first = {}
+    return shape(rows), [first.setdefault(id(row), k)
+                         for k, row in enumerate(rows)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flow_lists())
+def test_number_spellings_read_as_safe_loader_reads_them(text):
+    want = outcome(safe, text)
+    for loader in LOADERS:
+        assert outcome(lambda t: read(loader, t), text) == want, \
+            loader.__name__
+    assert outcome(lambda t: config._read(io.StringIO(t))[0], text) == want
+
+
 def big_config(path, n=100, edges=1000):
     """A config shaped like a random edge list the benchmark scores: about
     `edges` weighted edges and one aliased anchor row per agent."""
@@ -162,6 +225,37 @@ class TestCollectorState:
         gc.collect()
         config.load(path)
         assert gc.collect() == 0
+
+
+def functions_run(functions, action) -> set:
+    """The names of those functions whose code runs during action()."""
+    codes = {f.__code__ for f in functions}
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            ran.add(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return ran
+
+
+def test_big_config_numbers_skip_pyyaml_number_constructors(tmp_path):
+    # the config's numbers are plain decimals in flat lists, which the
+    # loaders build with int() and float(); yaml.SafeLoader shows that the
+    # spy sees these constructors when they run
+    path = big_config(tmp_path / "big.yaml")
+    numbers = (SafeConstructor.construct_yaml_int,
+               SafeConstructor.construct_yaml_float)
+    assert functions_run(numbers, lambda: safe(path.read_text())) == {
+        "construct_yaml_int", "construct_yaml_float"}
+    for loader in LOADERS:
+        assert functions_run(numbers,
+                             lambda: read(loader, path.read_text())) == set()
+    assert functions_run(numbers, lambda: config.load(path)) == set()
 
 
 SHARED = """\
