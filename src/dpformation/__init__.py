@@ -21,7 +21,6 @@ from .privacy import (
 )
 from .dynamics import (
     EssEstimate,
-    TrialEnsemble,
     averaging_window,
     estimate_ess,
     noise_covariance,

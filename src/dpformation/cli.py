@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
@@ -166,15 +167,17 @@ def cmd_simulate(args) -> int:
     runs = [dynamics.run_trials(p, sigmas, cfg.horizon, cfg.trials,
                                 (cfg.master_seed, l), xbar0=-q, jobs=jobs)
             for l, q in enumerate(anchors)]
-    # the (d, h, n) states and errors of trial 0 and the (d, h) mean
-    # squared error and its 95% half-width; a value that overflows is
-    # reported below, not by a numpy warning
+    # trial 0's (d, h, n) states and errors, and the (d, h) mean squared
+    # error and 95% half-width, 1.96 sample std / sqrt(trials), 0 for one
+    # trial; a value that overflows is reported below, not by a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        t = np.stack([ens.first_trajectory for ens in runs])  # trial 0 xbar
+        t = np.stack([path for _, path in runs])  # trial 0 xbar
         states = t + anchors[:, None, :]
         errors = t - t.mean(axis=2, keepdims=True)
-        means = np.stack([ens.e_agg_mean for ens in runs])
-        cis = 1.96 * np.stack([ens.e_agg_sem for ens in runs])
+        means = np.stack([e.mean(axis=1) for e, _ in runs])
+        cis = np.stack([
+            1.96 * (e.std(axis=1, ddof=1) / math.sqrt(cfg.trials))
+            if cfg.trials > 1 else np.zeros(len(e)) for e, _ in runs])
     d, h, n = states.shape
     for l in range(d):
         for what, v in (("state", states), ("error", errors),
@@ -182,7 +185,8 @@ def cmd_simulate(args) -> int:
             graphs.check_finite(v[l].reshape(h, -1), what, dimension=l + 1,
                                 step=np.arange(h)[:, None])
     print(f"per-dimension e_ss upper bound: {_fmt(bound)}")
-    print(f"exact per-dimension e_ss:       {_fmt(exact)}")
+    print(f"exact per-dimension e_ss:       {_fmt(exact)} "
+          "(protocol noise model)")
 
     dim, step, agent = np.indices(states.shape)
     _write_csv(os.path.join(args.out, "trajectory.csv"),
@@ -284,15 +288,13 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = config.load(args.config) if args.config else config.demo_config()
-    params = cfg.privacy_params
     rep = bounds.bound_report(graphs.build_perron(cfg.graph, cfg.gamma),
-                              params)
-    print(f"exact e_ss (oracle):      {_fmt(rep.exact_ess)}")
+                              cfg.privacy_params)
+    print(f"exact e_ss (oracle):      {_fmt(rep.exact_ess)} "
+          "(network noise model)")
     print(f"sandwich lower bound:     {_fmt(rep.lemma7_lower)}")
     print(f"sandwich upper bound:     {_fmt(rep.lemma7_upper)}")
     print(f"closed-form upper bound:  {_fmt(rep.theorem1_upper)}")
-    if all(q == params[0] for q in params):
-        print(f"homogeneous upper bound:  {_fmt(rep.theorem1_upper)}")
     return 0
 
 
@@ -372,7 +374,9 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (graphs.NumericalError, ArithmeticError, MemoryError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # an exception with no text, such as a bare MemoryError, is named
+        print(f"numerical failure: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 3
 
 

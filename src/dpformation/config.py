@@ -48,21 +48,9 @@ class RunConfig:
             raise ConfigError(
                 f"{len(self.privacy_params)} privacy entries for "
                 f"{self.graph.n} agents")
-        try:
-            anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
-        except ValueError:  # ragged rows
-            lengths = [len(r) if isinstance(r, (list, tuple)) else 1
-                       for r in self.anchors]
-            raise ConfigError("formation anchors must be an (N, n) matrix, "
-                              f"got rows of lengths {lengths}") from None
+        anchors = _anchor_matrix(self.anchors)
         object.__setattr__(self, "anchors", anchors)
-        if anchors.ndim != 2 or anchors.shape[1] < 1:
-            raise ConfigError("formation anchors must be an (N, n) matrix "
-                              f"with n >= 1, got shape {anchors.shape}")
-        if anchors.shape[0] != self.graph.n:
-            raise ConfigError(
-                f"formation has {anchors.shape[0]} anchor rows "
-                f"for {self.graph.n} agents")
+        _check_agents(len(anchors), self.graph.n)
         if not np.all(np.isfinite(anchors)):
             raise ConfigError("formation anchors must be finite")
         if self.horizon < 1 or self.trials < 1:
@@ -79,6 +67,29 @@ class RunConfig:
     @property
     def sigmas(self) -> np.ndarray:
         return np.array([privacy.noise_scale(p) for p in self.privacy_params])
+
+
+def _anchor_matrix(anchors) -> np.ndarray:
+    """anchors as a float matrix with at least one column; ragged rows or
+    another shape are a ConfigError."""
+    try:
+        matrix = np.atleast_2d(np.asarray(anchors, dtype=float))
+    except ValueError:  # ragged rows
+        lengths = [len(r) if isinstance(r, (list, tuple)) else 1
+                   for r in anchors]
+        raise ConfigError("formation anchors must be an (N, n) matrix, "
+                          f"got rows of lengths {lengths}") from None
+    if matrix.ndim != 2 or matrix.shape[1] < 1:
+        raise ConfigError("formation anchors must be an (N, n) matrix "
+                          f"with n >= 1, got shape {matrix.shape}")
+    return matrix
+
+
+def _check_agents(rows: int, agents: int) -> None:
+    """A formation has one anchor row per agent."""
+    if rows != agents:
+        raise ConfigError(
+            f"formation has {rows} anchor rows for {agents} agents")
 
 
 _TAG = "tag:yaml.org,2002:"
@@ -183,15 +194,18 @@ def _edge(entry) -> tuple:
             _real(w, "edge weight"))
 
 
-def parse_graph(spec: dict) -> WeightedGraph:
+def parse_graph(spec: dict, rows: int) -> WeightedGraph:
     """A named topology (kind, n, w) or an edge list (nodes, edges); a
-    key of the other form is refused, not ignored."""
+    key of the other form is refused, not ignored. Its n or nodes must be
+    rows, the formation's anchor row count, and is checked before anything
+    of that size is built."""
     _check_keys(spec, ("kind", "n", "w", "nodes", "edges"), "graph")
     if "kind" in spec:
         _check_keys(spec, ("kind", "n", "w"), "a graph with 'kind'")
+        n = _integer(spec["n"], "graph n")
+        _check_agents(rows, n)
         return graphs.build_standard_topology(
-            spec["kind"], _integer(spec["n"], "graph n"),
-            _real(spec.get("w", 1.0), "graph w"))
+            spec["kind"], n, _real(spec.get("w", 1.0), "graph w"))
     if "nodes" in spec:
         _check_keys(spec, ("nodes", "edges"), "a graph with 'nodes'")
         edges = spec.get("edges", [])
@@ -200,6 +214,7 @@ def parse_graph(spec: dict) -> WeightedGraph:
                               f"triples, got {edges!r}")
         edges = tuple(map(_edge, edges))
         nodes = _integer(spec["nodes"], "graph nodes")
+        _check_agents(rows, nodes)
         try:
             return WeightedGraph(nodes, edges)
         except ValueError as exc:
@@ -238,7 +253,9 @@ def _parse(data: dict, notes: list) -> RunConfig:
                        "privacy", "formation"), "the config")
     try:
         _check_keys(data["formation"], ("anchors",), "formation")
-        g = parse_graph(data["graph"])
+        anchors = _anchor_matrix(_reals(data["formation"]["anchors"],
+                                        "formation anchor"))
+        g = parse_graph(data["graph"], len(anchors))
         return RunConfig(
             graph=g,
             gamma=_real(data["gamma"], "gamma"),
@@ -246,8 +263,7 @@ def _parse(data: dict, notes: list) -> RunConfig:
             trials=_integer(data.get("trials", 1000), "trials"),
             master_seed=_integer(data.get("seed", 0), "seed"),
             privacy_params=parse_privacy(data["privacy"], g.n, notes),
-            anchors=_reals(data["formation"]["anchors"],
-                           "formation anchor"),
+            anchors=anchors,
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,30 +76,6 @@ BLOCK_DRAWS = 1024
 TILE_TRIALS = 256
 
 
-@dataclass(frozen=True)
-class TrialEnsemble:
-    """Per-trial error series of a Monte Carlo run; the trial average and
-    its standard error are derived from them on first use."""
-
-    # the rows are steps 0 ... horizon of run_trials
-    e_agg_trials: np.ndarray    # (rows, trials) per-trial series
-    first_trajectory: np.ndarray  # (rows, N) xbar of trial 0
-
-    @cached_property
-    def e_agg_mean(self) -> np.ndarray:
-        """(rows,) averaged across trials."""
-        return self.e_agg_trials.mean(axis=1)
-
-    @cached_property
-    def e_agg_sem(self) -> np.ndarray:
-        """Standard error of the mean, per step; zeros for a single
-        trial."""
-        rows, trials = self.e_agg_trials.shape
-        if trials == 1:
-            return np.zeros(rows)
-        return self.e_agg_trials.std(axis=1, ddof=1) / math.sqrt(trials)
-
-
 def _mean_square_error(states, dev, out) -> None:
     """out[j] = mean over agents of (states[j] - its mean)^2 for (rows,
     count, n) states, by two matrix-vector products with the vector of 1/n.
@@ -151,8 +126,11 @@ def _run_tile(t_lo, t_hi, state, noise, p, gain, scale, root, x0,
 def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
                master_seed, xbar0=None, jobs: int = 1,
                noise_model: str = "protocol",
-               stationary: bool = False) -> TrialEnsemble:
-    """Simulate independent seeded trials of the private dynamics.
+               stationary: bool = False) -> tuple:
+    """Simulate independent seeded trials of the private dynamics and
+    return (e_agg, path): the (horizon + 1, trials) squared-error series of
+    every trial and the (horizon + 1, N) xbar of trial 0, with rows for
+    steps 0 ... horizon.
 
     Tile i holds the trials from i * TILE_TRIALS, a last lone trial joining
     the tile before it, and draws from one generator,
@@ -178,9 +156,7 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     of Cov[z] and U_d the deviation eigenvectors: each tile first draws
     its trials' (trials, N) standard normals xi, before any noise, and a
     trial starts at xbar0 + F xi, with F the symmetric square root of S.
-    With stationary=False it starts at xbar0 and draws nothing more. Either
-    way the squared-error series, its mean and standard error, and
-    first_trajectory cover steps 0 ... horizon.
+    With stationary=False it starts at xbar0 and draws nothing more.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -235,7 +211,7 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_share, range(workers)))
-    return TrialEnsemble(e_agg, traj)
+    return e_agg, traj
 
 
 def averaging_window(p: PerronMatrix) -> int:
@@ -273,10 +249,10 @@ def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
     from the spread of the per-trial window means.
     """
     window = averaging_window(p)
-    ens = run_trials(p, sigmas, window, trials, master_seed, jobs=jobs,
-                     noise_model="network", stationary=True)
+    e_agg, _ = run_trials(p, sigmas, window, trials, master_seed, jobs=jobs,
+                          noise_model="network", stationary=True)
     # row 0 is the drawn start
-    trial_means = ens.e_agg_trials[1:].mean(axis=0)
+    trial_means = e_agg[1:].mean(axis=0)
     value = float(trial_means.mean())
     if trials > 1:
         hw = 1.96 * float(np.std(trial_means, ddof=1)) / math.sqrt(trials)

@@ -23,7 +23,6 @@ import numpy as np
 
 from dpformation.dynamics import (
     TILE_TRIALS,
-    TrialEnsemble,
     estimate_ess,
     noise_covariance,
     noise_gain,
@@ -34,9 +33,9 @@ from dpformation.dynamics import (
 def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
                             master_seed, xbar0=None,
                             noise_model: str = "protocol",
-                            stationary: bool = False) -> TrialEnsemble:
-    """run_trials with the noise of every step materialized up front,
-    on run_trials' tiles, one after the other."""
+                            stationary: bool = False) -> tuple:
+    """run_trials' (e_agg, path) with the noise of every step
+    materialized up front, on run_trials' tiles, one after the other."""
     n = p.n
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
@@ -87,7 +86,7 @@ def whole_tensor_run_trials(p, sigmas, horizon: int, trials: int,
     results = [run_tile(*tile) for tile in tiles]
 
     e_agg = np.concatenate([r[0] for r in results], axis=1)
-    return TrialEnsemble(e_agg, results[0][1])
+    return e_agg, results[0][1]
 
 
 def window_mean_variance(p, cov, window: int) -> float:

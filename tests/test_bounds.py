@@ -99,9 +99,9 @@ class TestExactOracle:
         sigma = noise_scale(PrivacyParams(math.log(3), 0.00135, 2.0))
         exact = exact_ess_oracle(p, noise_covariance(p, sigma, "protocol"))
         network = exact_ess_oracle(p, noise_covariance(p, sigma, "network"))
-        ens = run_trials(p, sigma, averaging_window(p), 2000, 11,
-                         noise_model="protocol", stationary=True)
-        tail_mean = float(ens.e_agg_trials[1:].mean())
+        e_agg, _ = run_trials(p, sigma, averaging_window(p), 2000, 11,
+                              noise_model="protocol", stationary=True)
+        tail_mean = float(e_agg[1:].mean())
         assert tail_mean == pytest.approx(exact, rel=0.03)
         assert not tail_mean == pytest.approx(network, rel=0.5)
 

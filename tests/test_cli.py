@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -185,20 +186,23 @@ class TestSimulate:
         p = graphs.build_perron(loaded.graph, loaded.gamma)
         assert len(calls) == d
         trajectory, summary = [], []
-        for l, (args, kw, ens) in enumerate(calls):
+        for l, (args, kw, (e_agg, t)) in enumerate(calls):
             q = anchors[:, l]
             assert np.array_equal(args[1], loaded.sigmas)
             assert args[2:] == (20, trials, (7, l))
             assert np.array_equal(kw["xbar0"], -q)
             assert kw["jobs"] == jobs
             scalar = run_trials(p, loaded.sigmas, 20, trials, (7, l), xbar0=-q)
-            assert np.array_equal(ens.e_agg_trials, scalar.e_agg_trials)
-            t = scalar.first_trajectory
-            assert np.array_equal(ens.first_trajectory, t)
+            assert np.array_equal(e_agg, scalar[0])
+            assert np.array_equal(t, scalar[1])
             err = t - t.mean(axis=1, keepdims=True)
+            # the trial mean and 1.96 sample standard deviations over
+            # sqrt(trials), 0 for one trial
+            mean = e_agg.mean(axis=1)
+            ci = (1.96 * (e_agg.std(axis=1, ddof=1) / np.sqrt(trials))
+                  if trials > 1 else np.zeros(21))
             for step in range(21):
-                summary.append((step, l + 1, scalar.e_agg_mean[step],
-                                1.96 * scalar.e_agg_sem[step]))
+                summary.append((step, l + 1, mean[step], ci[step]))
                 trajectory.extend((step, agent + 1, l + 1,
                                    t[step, agent] + q[agent], err[step, agent])
                                   for agent in range(5))
@@ -209,6 +213,38 @@ class TestSimulate:
                  ["step", "dimension", "e_agg_mean", "e_agg_ci"], summary)]:
             reference_write_csv(tmp_path / name, header, zip(*rows))
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_single_trial_ci_is_zero(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code, _, _ = run(capsys, "simulate", "--trials", "1", "--horizon",
+                         "30", "--out", str(out))
+        assert code == 0
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["0.0"] * 62
+
+    def test_two_trial_ci_is_the_sample_half_width(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # e_agg_ci is 1.96 sample standard deviations of the two per-trial
+        # series over sqrt(2), at every step of each dimension
+        from dpformation import dynamics
+        runs = []
+        run_trials = dynamics.run_trials
+
+        def spy(*args, **kw):
+            runs.append(run_trials(*args, **kw))
+            return runs[-1]
+
+        monkeypatch.setattr(dynamics, "run_trials", spy)
+        out = tmp_path / "o"
+        code, _, _ = run(capsys, "simulate", "--trials", "2", "--horizon",
+                         "30", "--out", str(out))
+        assert code == 0
+        table = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1)
+        want = [1.96 * (np.std(e, axis=1, ddof=1) / np.sqrt(2))
+                for e, _ in runs]
+        assert np.array_equal(table[:, 3], np.concatenate(want))
+        # both trials start at -q, so only step 0 has no spread
+        assert np.array_equal(table[:, 3] > 0, table[:, 0] > 0)
 
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_seed_exits_2_before_output(self, tmp_path, capsys,
@@ -373,7 +409,8 @@ class TestSimulate:
         code, text, _ = run(capsys, "simulate", "--trials", "20",
                             "--out", str(tmp_path))
         assert code == 0
-        assert "exact per-dimension e_ss:       1.06779059" in text
+        assert ("exact per-dimension e_ss:       1.06779059 (protocol "
+                "noise model)") in text
 
     @pytest.mark.parametrize("line", ["trails: 5", "jobs: 2"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, line):
@@ -732,25 +769,66 @@ def test_simulate_overflow_exits_3(tmp_path, capsys):
     assert list(out.iterdir()) == []  # no summary.csv, no trajectory.csv
 
 
-@pytest.mark.parametrize("target, argv", [
+TOO_LARGE = "Unable to allocate 7.28 TiB for an array"
+
+
+@pytest.mark.parametrize("target, argv, exc, shown", [
     ("dpformation.dynamics.run_trials",
-     ["simulate", "--horizon", "1000000000"]),
+     ["simulate", "--horizon", "1000000000"], MemoryError(TOO_LARGE),
+     TOO_LARGE),
     ("dpformation.bounds.corollary1_bound",
-     ["sweep", "--eps-steps", "100000", "--lam2-steps", "100000"]),
-], ids=["simulate", "sweep"])
+     ["sweep", "--eps-steps", "100000", "--lam2-steps", "100000"],
+     MemoryError(TOO_LARGE), TOO_LARGE),
+    # an error with no text used to print "numerical failure: " alone
+    ("dpformation.dynamics.run_trials",
+     ["simulate", "--horizon", "1000000000"], MemoryError(), "MemoryError"),
+], ids=["simulate", "sweep", "no-text"])
 def test_allocation_failure_exits_3(tmp_path, capsys, monkeypatch, target,
-                                    argv):
+                                    argv, exc, shown):
     # an array too large to allocate used to escape as numpy's
     # _ArrayMemoryError traceback with exit 1; the allocation is faked
     def refuse(*args, **kwargs):
-        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        raise exc
     monkeypatch.setattr(target, refuse)
     code, text, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
     assert code == 3
-    assert err == ("numerical failure: Unable to allocate 7.28 TiB for an "
-                   "array\n")
+    assert err == f"numerical failure: {shown}\n"
     assert text == ""
     assert list((tmp_path / "o").glob("*")) == []  # no CSV
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+@pytest.mark.parametrize("graph", [
+    f"{{kind: star, n: {HUGE}, w: 1.0}}",
+    f"{{nodes: {HUGE}, edges: [[1, 2, 1.0]]}}",
+], ids=["kind", "nodes"])
+def test_agent_count_is_checked_before_the_graph(tmp_path, capsys,
+                                                 monkeypatch, command,
+                                                 graph):
+    # n was read before the anchors: the star built n - 1 edges until
+    # memory ran out, and the edge list ended in exit 3 naming no key. No
+    # graph may be built, so a regression fails here without the memory
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graphs, "build_standard_topology", no_graph)
+    monkeypatch.setattr(config, "WeightedGraph", no_graph)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"graph: {graph}\ngamma: 0.2\n"
+                   "privacy: {epsilon: 1.0, delta: 0.001, b: 2.0}\n"
+                   "formation: {anchors: [[0.0], [1.0]]}\n")
+    out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+    start = time.monotonic()
+    code, text, err = run(capsys, command, "--config", str(cfg), *out)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert err == (f"validation error: formation has 2 anchor rows for "
+                   f"{HUGE} agents\n")
+    assert text == ""
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "bounds"])
@@ -882,21 +960,20 @@ class TestBoundsCommand:
     def test_demo_report(self, capsys):
         code, text, _ = run(capsys, "bounds")
         assert code == 0
-        assert "exact e_ss (oracle)" in text
-        assert "11.8643399" in text
-
-    def test_demo_prints_homogeneous_bound(self, capsys):
-        code, text, _ = run(capsys, "bounds")
-        assert code == 0
-        assert "homogeneous upper bound:  11.8643399" in text
+        assert ("exact e_ss (oracle):      3.13218574 (network noise "
+                "model)") in text
+        assert "closed-form upper bound:  11.8643399\n" in text
 
     def test_heterogeneous_config_omits_homogeneous_bound(self, tmp_path,
                                                           capsys):
+        # the bound is printed once, for shared and per-agent privacy alike
         cfg = tmp_path / "run.yaml"
         cfg.write_text(EDGE_LIST_CONFIG)
-        code, text, _ = run(capsys, "bounds", "--config", str(cfg))
-        assert code == 0
-        assert "homogeneous" not in text
+        for argv in ([], ["--config", str(cfg)]):
+            code, text, _ = run(capsys, "bounds", *argv)
+            assert code == 0
+            assert "homogeneous" not in text
+            assert text.count("upper bound:") == 2  # sandwich, Theorem 1
 
     def test_nan_weight_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "nan.yaml"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dpformation import (
-    TrialEnsemble,
     WeightedGraph,
     averaging_window,
     build_perron,
@@ -159,38 +158,39 @@ class TestErrorSeries:
 class TestRunTrials:
     def test_trial_seeding_is_chunk_independent(self, star5):
         _, p = star5
-        a = run_trials(p, 1.0, 30, 16, 99, jobs=1)
-        b = run_trials(p, 1.0, 30, 16, 99, jobs=4)
-        assert np.array_equal(a.e_agg_trials, b.e_agg_trials)
-        assert np.array_equal(a.first_trajectory, b.first_trajectory)
+        a_agg, a_path = run_trials(p, 1.0, 30, 16, 99, jobs=1)
+        b_agg, b_path = run_trials(p, 1.0, 30, 16, 99, jobs=4)
+        assert np.array_equal(a_agg, b_agg)
+        assert np.array_equal(a_path, b_path)
 
     def test_deterministic_per_master_seed(self, star5):
         _, p = star5
-        a = run_trials(p, 1.0, 20, 5, (3, 1))
-        b = run_trials(p, 1.0, 20, 5, (3, 1))
-        c = run_trials(p, 1.0, 20, 5, (3, 2))
-        assert np.array_equal(a.e_agg_mean, b.e_agg_mean)
-        assert not np.array_equal(a.e_agg_mean, c.e_agg_mean)
+        a, _ = run_trials(p, 1.0, 20, 5, (3, 1))
+        b, _ = run_trials(p, 1.0, 20, 5, (3, 1))
+        c, _ = run_trials(p, 1.0, 20, 5, (3, 2))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_trajectory_length(self, star5):
         _, p = star5
-        ens = run_trials(p, 1.0, 42, 3, 0)
-        assert ens.first_trajectory.shape == (43, 5)
-        assert ens.e_agg_mean.shape == (43,)
-        assert np.all(ens.e_agg_trials >= 0)
+        e_agg, path = run_trials(p, 1.0, 42, 3, 0)
+        assert path.shape == (43, 5)
+        assert e_agg.shape == (43, 3)
+        assert np.all(e_agg >= 0)
 
     def test_network_model_matches_marginal_variance(self, star5):
         # z variance per agent under the analytical model
         _, p = star5
         sigmas = 2.0
-        ens = run_trials(p, sigmas, 1, 20000, 123, noise_model="network")
+        e_agg, _ = run_trials(p, sigmas, 1, 20000, 123,
+                              noise_model="network")
         # after one step from zero, spread of x equals z spread;
         # check aggregate against projected covariance
         cov = noise_covariance(p, sigmas, "network")
         n = 5
         q = np.eye(n) - np.full((n, n), 1.0 / n)
         expected = np.trace(q @ cov @ q) / n
-        assert ens.e_agg_mean[1] == pytest.approx(expected, rel=0.05)
+        assert e_agg[1].mean() == pytest.approx(expected, rel=0.05)
 
     def test_unknown_noise_model_rejected(self, star5):
         _, p = star5
@@ -221,8 +221,8 @@ class TestRunTrials:
         _, p = star5
         one = run_trials(p, 1.0, 9, trials, 4)
         split = run_trials(p, 1.0, 9, trials, 4, jobs=jobs)
-        assert np.array_equal(split.e_agg_trials, one.e_agg_trials)
-        assert np.array_equal(split.first_trajectory, one.first_trajectory)
+        assert np.array_equal(split[0], one[0])
+        assert np.array_equal(split[1], one[1])
 
     @pytest.mark.parametrize("noise_model", ["protocol", "network"])
     def test_stationary_start_has_the_stationary_law(self, star5,
@@ -237,13 +237,14 @@ class TestRunTrials:
         k, trials = 3, 20000
         e_ss = exact_ess_oracle(p, noise_covariance(p, sigmas, noise_model))
         pi = np.eye(5) - np.full((5, 5), 0.2)
-        ens = run_trials(p, sigmas, k, trials, 3, xbar0=x0,
-                         noise_model=noise_model, stationary=True)
-        assert ens.e_agg_trials.shape == (k + 1, trials)
+        e_agg, _ = run_trials(p, sigmas, k, trials, 3, xbar0=x0,
+                              noise_model=noise_model, stationary=True)
+        assert e_agg.shape == (k + 1, trials)
+        sem = e_agg.std(axis=1, ddof=1) / np.sqrt(trials)
         mean = x0
         for row in range(k + 1):
             want = np.sum((pi @ mean) ** 2) / 5 + e_ss
-            z = (ens.e_agg_mean[row] - want) / ens.e_agg_sem[row]
+            z = (e_agg[row].mean() - want) / sem[row]
             assert abs(z) <= 4.0, (row, z)
             mean = p.matrix @ mean
 
@@ -252,14 +253,14 @@ class TestRunTrials:
         # S = 0: every trial starts at xbar0 and follows P^k xbar0
         _, p = star5
         x0 = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
-        ens = run_trials(p, 0.0, 12, 3, 0, xbar0=x0,
-                         noise_model=noise_model, stationary=True)
+        e_agg, path = run_trials(p, 0.0, 12, 3, 0, xbar0=x0,
+                                 noise_model=noise_model, stationary=True)
         want = [x0]
         for _ in range(12):
             want.append(p.matrix @ want[-1])
-        assert np.array_equal(ens.first_trajectory[0], x0)
-        assert np.allclose(ens.first_trajectory, want, rtol=0, atol=1e-12)
-        assert np.all(ens.e_agg_trials == ens.e_agg_trials[:, :1])
+        assert np.array_equal(path[0], x0)
+        assert np.allclose(path, want, rtol=0, atol=1e-12)
+        assert np.all(e_agg == e_agg[:, :1])
 
     def test_singular_protocol_start_stays_in_its_support(self, star5):
         # the star's protocol noise z = G v = gamma * (sum of the leaves'
@@ -270,20 +271,19 @@ class TestRunTrials:
         # negative ones are clipped, and the square roots of the positive
         # ones, about 1e-8, bound how far the leaves of the start may differ
         _, p = star5
-        ens = run_trials(p, 2.0, 4, 50, 0, stationary=True)
-        start = ens.first_trajectory[0]
-        assert np.all(np.isfinite(ens.e_agg_trials))
+        e_agg, path = run_trials(p, 2.0, 4, 50, 0, stationary=True)
+        start = path[0]
+        assert np.all(np.isfinite(e_agg))
         assert np.ptp(start[1:]) <= 1e-6 * np.abs(start).max()
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_zero_horizon_is_the_initial_row(self, star5, jobs):
         _, p = star5
         x0 = np.array([1.0, 2.0, 3.0, 4.0, 10.0])
-        ens = run_trials(p, 1.0, 0, 4, 0, xbar0=x0, jobs=jobs)
-        assert ens.e_agg_trials.shape == (1, 4)
-        assert np.all(ens.e_agg_trials == np.mean((x0 - x0.mean()) ** 2))
-        assert np.array_equal(ens.first_trajectory, x0[None, :])
-        assert np.array_equal(ens.e_agg_sem, [0.0])
+        e_agg, path = run_trials(p, 1.0, 0, 4, 0, xbar0=x0, jobs=jobs)
+        assert e_agg.shape == (1, 4)
+        assert np.all(e_agg == np.mean((x0 - x0.mean()) ** 2))
+        assert np.array_equal(path, x0[None, :])
 
     @pytest.mark.parametrize("n", [2, 17, 130, 300])
     @pytest.mark.parametrize("noise_model", ["protocol", "network"])
@@ -294,21 +294,11 @@ class TestRunTrials:
         # np.mean's pairwise sums, so they agree to rounding, not bit for bit
         g = random_connected_graph(n, np.random.default_rng(n))
         p = build_perron(g, 0.5 / max_degree(g))
-        ens = run_trials(p, np.linspace(0.5, 2.0, n), 40, 3, (3, n),
-                         xbar0=np.linspace(-3.0, 5.0, n),
-                         noise_model=noise_model, stationary=stationary)
-        x = ens.first_trajectory
+        e_agg, x = run_trials(p, np.linspace(0.5, 2.0, n), 40, 3, (3, n),
+                              xbar0=np.linspace(-3.0, 5.0, n),
+                              noise_model=noise_model, stationary=stationary)
         want = np.mean((x - x.mean(axis=1, keepdims=True)) ** 2, axis=1)
-        assert np.allclose(ens.e_agg_trials[:, 0], want, rtol=1e-14, atol=0)
-
-    def test_mean_and_sem_derived_from_trials(self):
-        # rows [1, 3] and [2, 2]: sample std sqrt(2) and 0 over 2 trials
-        ens = TrialEnsemble(np.array([[1.0, 3.0], [2.0, 2.0]]), None)
-        assert ens.e_agg_mean.tolist() == [2.0, 2.0]
-        assert ens.e_agg_sem.tolist() == [1.0, 0.0]
-        single = TrialEnsemble(np.array([[1.0], [2.0]]), None)
-        assert single.e_agg_mean.tolist() == [1.0, 2.0]
-        assert single.e_agg_sem.tolist() == [0.0, 0.0]
+        assert np.allclose(e_agg[:, 0], want, rtol=1e-14, atol=0)
 
 
 class TestStreamingMatchesWholeTensor:
@@ -350,11 +340,8 @@ class TestStreamingMatchesWholeTensor:
                       stationary=stationary)
             want = whole_tensor_run_trials(*args, **kw)
             got = run_trials(*args, jobs=jobs, **kw)
-            for field in ("e_agg_trials", "e_agg_mean", "e_agg_sem",
-                          "first_trajectory"):
-                assert np.array_equal(getattr(got, field),
-                                      getattr(want, field)), (stationary,
-                                                              field)
+            for field, g, w in zip(("e_agg", "path"), got, want):
+                assert np.array_equal(g, w), (stationary, field)
 
 
 class TestRunTrialsMemory:
@@ -464,9 +451,9 @@ class TestEstimateEss:
         _, p = star5
         window = averaging_window(p)
         est = estimate_ess(p, 1.0, trials=200, master_seed=1)
-        ens = run_trials(p, 1.0, window, 200, 1, noise_model="network",
-                         stationary=True)
-        tail = ens.e_agg_trials[1:]  # steps 1 ... W
+        e_agg, _ = run_trials(p, 1.0, window, 200, 1, noise_model="network",
+                              stationary=True)
+        tail = e_agg[1:]  # steps 1 ... W
         assert len(tail) == window
         per_trial = tail.mean(axis=0)
         assert est.horizon == window

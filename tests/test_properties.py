@@ -148,6 +148,5 @@ def test_every_jobs_gives_the_same_bits(cfg, plan, jobs):
         one = run_trials(*args, noise_model=model, stationary=stationary)
         split = run_trials(*args, jobs=jobs, noise_model=model,
                            stationary=stationary)
-        assert np.array_equal(split.e_agg_trials, one.e_agg_trials), model
-        assert np.array_equal(split.first_trajectory,
-                              one.first_trajectory), model
+        assert np.array_equal(split[0], one[0]), model  # e_agg
+        assert np.array_equal(split[1], one[1]), model  # trial 0's path
