@@ -87,12 +87,15 @@ def _mean_square_error(states, dev, out) -> None:
     np.matmul(dev, avg, out=out)
 
 
-def _run_tile(t_lo, t_hi, state, noise, p, gain, scale, root, x0,
-              master_seed, block, e_agg, traj) -> None:
-    """Run the trials t_lo ... t_hi - 1 of run_trials' tile into their
-    columns of e_agg, and trial 0 into traj, in a worker's flat state
-    buffer and, for the protocol law (gain not None), noise buffer."""
-    count, n = t_hi - t_lo, len(x0)
+def _run_tile(t_lo, t_hi, state, noise, scratch, p, gain, scale, root, x0,
+              master_seed, horizon, block, out, traj) -> None:
+    """Run the trials t_lo ... t_hi - 1 of run_trials' tile in a worker's
+    flat state buffer, its noise buffer for the protocol law (gain not None)
+    and its window scratch for window sums (scratch not None). Without
+    scratch the tile fills its columns of out, the (horizon + 1, trials)
+    error series, and trial 0's states go to traj; with it, its entries of
+    out, the (trials,) running sums over steps 1 ... horizon."""
+    count, n = t_hi - t_lo, p.n
     rng = tile_rng(master_seed, t_lo // TILE_TRIALS)
     # x[0] carries the block's start; x[j + 1] takes step j's
     # perturbation, to which the recursion adds P x[j] from tmp
@@ -102,11 +105,16 @@ def _run_tile(t_lo, t_hi, state, noise, p, gain, scale, root, x0,
     if root is not None:
         rng.standard_normal(out=tmp)
         x[0] += tmp @ root  # root is symmetric
-    _mean_square_error(x[:1], tmp[None], e_agg[:1, t_lo:t_hi])
-    if t_lo == 0:
-        traj[0] = x[0, 0]
-    for k in range(1, len(e_agg), block):  # steps k ... k + b - 1
-        b = min(block, len(e_agg) - k)
+    if scratch is None:
+        _mean_square_error(x[:1], tmp[None], out[:1, t_lo:t_hi])
+        if t_lo == 0:
+            traj[0] = x[0, 0]
+    else:
+        # row 0 leads each block's errors with the sums so far
+        errs = scratch[:(block + 1) * count].reshape(block + 1, count)
+        sums = out[t_lo:t_hi]
+    for k in range(1, horizon + 1, block):  # steps k ... k + b - 1
+        b = min(block, horizon + 1 - k)
         # step-major, so the head is contiguous also for a short block
         v = (x[1:b + 1] if gain is None
              else noise[:b * count * n].reshape(b, count, n))
@@ -117,20 +125,28 @@ def _run_tile(t_lo, t_hi, state, noise, p, gain, scale, root, x0,
         for j in range(b):
             np.matmul(x[j], p.matrix, out=tmp)  # P is symmetric
             x[j + 1] += tmp
-        if t_lo == 0:
-            traj[k:k + b] = x[1:b + 1, 0]
         x[0] = x[b]
-        _mean_square_error(x[1:b + 1], x[1:b + 1], e_agg[k:k + b, t_lo:t_hi])
+        if scratch is None:
+            if t_lo == 0:
+                traj[k:k + b] = x[1:b + 1, 0]
+            _mean_square_error(x[1:b + 1], x[1:b + 1],
+                               out[k:k + b, t_lo:t_hi])
+        else:
+            errs[0] = sums
+            _mean_square_error(x[1:b + 1], x[1:b + 1], errs[1:b + 1])
+            # numpy adds the rows in order, as it sums axis 0 of a series
+            # of two or more trials
+            np.add.reduce(errs[:b + 1], axis=0, out=sums)
 
 
 def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
                master_seed, xbar0=None, jobs: int = 1,
                noise_model: str = "protocol",
-               stationary: bool = False) -> tuple:
+               stationary: bool = False, window_sums: bool = False):
     """Simulate independent seeded trials of the private dynamics and
     return (e_agg, path): the (horizon + 1, trials) squared-error series of
     every trial and the (horizon + 1, N) xbar of trial 0, with rows for
-    steps 0 ... horizon.
+    steps 0 ... horizon. xbar0, the start, is N numbers (default zeros).
 
     Tile i holds the trials from i * TILE_TRIALS, a last lone trial joining
     the tile before it, and draws from one generator,
@@ -145,6 +161,15 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     of one (horizon, trials, N) draw per tile, so a shorter horizon is a
     prefix of a longer one. Memory stays O(horizon * trials) for the error
     series plus O(TILE_TRIALS * BLOCK_DRAWS) per thread.
+
+    window_sums=True returns instead the (trials,) sums of each trial's
+    squared errors over steps 1 ... horizon, without the series, the start
+    row's errors or the path: O(trials) floats plus one tile's buffers per
+    thread, whatever the horizon. Each block's errors are added to the sums
+    step by step, in the order numpy sums axis 0 of the series of two or
+    more trials, so sums / horizon is e_agg[1:].mean(axis=0) bit for bit;
+    numpy sums a lone trial's column pairwise, so that one may differ in
+    the last bits.
 
     noise_model, "protocol" or "network", selects the law of the state
     perturbation z; noise_covariance gives each law's Cov[z]. The network
@@ -165,8 +190,11 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     n = p.n
-    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(
+            f"xbar0 must be N = {n} numbers, got shape {x0.shape}")
+    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     cov = noise_covariance(p, sigmas, noise_model)
     # the scale of each draw: sigma_j for the protocol law, which mixes the
     # scaled draws through the gain, and the network law's z_i directly
@@ -188,21 +216,25 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     tiles = list(zip(starts, starts[1:] + [trials]))
     workers = min(jobs, len(tiles))
     # per worker, sized for the largest tile: a flat state buffer (block + 1
-    # state rows and tmp's row per trial) and, for the protocol law, a noise
-    # buffer. They come before the results, so that once freed they leave a
-    # hole the next run reuses, not a heap top that malloc hands back to the
-    # system and the next run faults in again
-    most = max(hi - lo for lo, hi in tiles) * n  # draws per step
-    spaces = [(np.empty(most * (block + 2)),
-               None if gain is None else np.empty(most * block))
+    # state rows and tmp's row per trial), for the protocol law a noise
+    # buffer and for window sums a scratch of block + 1 error rows. They
+    # come before the results, so that once freed they leave a hole the
+    # next run reuses, not a heap top that malloc hands back to the system
+    # and the next run faults in again
+    most = max(hi - lo for lo, hi in tiles)  # trials in the largest tile
+    spaces = [(np.empty(most * n * (block + 2)),
+               None if gain is None else np.empty(most * n * block),
+               np.empty(most * (block + 1)) if window_sums else None)
               for _ in range(workers)]
-    e_agg = np.empty((horizon + 1, trials))
-    traj = np.empty((horizon + 1, n))
+    if window_sums:
+        out, traj = np.zeros(trials), None
+    else:
+        out, traj = np.empty((horizon + 1, trials)), np.empty((horizon + 1, n))
 
     def run_share(w):
         for tile in tiles[w::workers]:
             _run_tile(*tile, *spaces[w], p, gain, scale, root, x0,
-                      master_seed, block, e_agg, traj)
+                      master_seed, horizon, block, out, traj)
 
     if workers == 1:
         run_share(0)
@@ -211,7 +243,7 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_share, range(workers)))
-    return e_agg, traj
+    return out if window_sums else (out, traj)
 
 
 def averaging_window(p: PerronMatrix) -> int:
@@ -247,12 +279,17 @@ def estimate_ess(p: PerronMatrix, sigmas, trials: int = 1000,
     estimate, the mean of these per-trial window means, is unbiased.
     Trials are i.i.d., so the half-width is a valid 95% normal interval
     from the spread of the per-trial window means.
+
+    run_trials' window_sums hands back only each trial's sum over the
+    window, so an estimate holds O(trials) floats plus one tile's buffers
+    per thread, whatever W; the means are those of the (W + 1, trials)
+    series bit for bit when trials >= 2.
     """
     window = averaging_window(p)
-    e_agg, _ = run_trials(p, sigmas, window, trials, master_seed, jobs=jobs,
-                          noise_model="network", stationary=True)
-    # row 0 is the drawn start
-    trial_means = e_agg[1:].mean(axis=0)
+    sums = run_trials(p, sigmas, window, trials, master_seed, jobs=jobs,
+                      noise_model="network", stationary=True,
+                      window_sums=True)
+    trial_means = sums / window
     value = float(trial_means.mean())
     if trials > 1:
         hw = 1.96 * float(np.std(trial_means, ddof=1)) / math.sqrt(trials)

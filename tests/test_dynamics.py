@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -214,6 +215,19 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_trials(p, 1.0, 5, 3, 0, jobs=jobs)
 
+    @pytest.mark.parametrize("noise_model", ["protocol", "network"])
+    @pytest.mark.parametrize("xbar0", [3.0, [7.0], np.arange(6.0),
+                                       np.ones(2), np.ones((5, 2)),
+                                       np.ones((1, 5))],
+                             ids=["scalar", "one", "six", "two", "5x2",
+                                  "1x5"])
+    def test_rejects_xbar0_not_n_numbers(self, star5, noise_model, xbar0):
+        _, p = star5
+        shape = np.shape(xbar0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"xbar0 must be N = 5 numbers, got shape {shape}")):
+            run_trials(p, 1.0, 5, 3, 0, xbar0=xbar0, noise_model=noise_model)
+
     @pytest.mark.parametrize("trials, jobs", [(1, 1), (1, 4), (7, 3),
                                               (6, 3), (2, 5)])
     def test_chunking_keeps_every_trial(self, star5, trials, jobs):
@@ -342,6 +356,10 @@ class TestStreamingMatchesWholeTensor:
             got = run_trials(*args, jobs=jobs, **kw)
             for field, g, w in zip(("e_agg", "path"), got, want):
                 assert np.array_equal(g, w), (stationary, field)
+            # numpy sums axis 0 of two or more trials row by row, as the
+            # window sums fold the blocks
+            sums = run_trials(*args, jobs=jobs, window_sums=True, **kw)
+            assert np.array_equal(sums, want[0][1:].sum(axis=0)), stationary
 
 
 class TestRunTrialsMemory:
@@ -382,6 +400,20 @@ class TestRunTrialsMemory:
         # law); buffers for all the trials at once would take 4.1-4.5
         # (network) and 8.1 (protocol)
         assert self.working_memory(noise_model) < 3
+
+    def test_window_sums_do_not_hold_the_series(self):
+        # a 3-agent line at gamma = 0.001 averages W = 12500 steps; its
+        # (W + 1, T) error series alone would take 28.6 MiB
+        p = build_perron(build_standard_topology("line", 3, 1.0), 0.001)
+        window, trials = averaging_window(p), 300
+        assert window == 12500
+        tracemalloc.start()
+        try:
+            estimate_ess(p, 1.0, trials=trials, master_seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 8 * (window + 1) * trials
 
     def test_network_law_holds_no_noise_buffer(self):
         # the network law draws z straight into the state rows, so it holds
@@ -447,20 +479,36 @@ class TestEstimateEss:
         assert est.half_width > 0
         assert est.trials == 200
 
-    def test_value_is_mean_of_per_trial_tail_means(self, star5):
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("trials", [2, 200, 257, 513])
+    def test_value_is_mean_of_per_trial_tail_means(self, star5, jobs,
+                                                   trials):
+        # the streamed window sums give the series' means bit for bit
         _, p = star5
         window = averaging_window(p)
-        est = estimate_ess(p, 1.0, trials=200, master_seed=1)
-        e_agg, _ = run_trials(p, 1.0, window, 200, 1, noise_model="network",
-                              stationary=True)
+        est = estimate_ess(p, 1.0, trials=trials, master_seed=1, jobs=jobs)
+        e_agg, _ = run_trials(p, 1.0, window, trials, 1,
+                              noise_model="network", stationary=True)
         tail = e_agg[1:]  # steps 1 ... W
         assert len(tail) == window
         per_trial = tail.mean(axis=0)
         assert est.horizon == window
-        assert est.value == pytest.approx(per_trial.mean(), rel=1e-14)
+        assert est.value == float(per_trial.mean())
         assert est.value < tail.mean(axis=1).max()
-        assert est.half_width == pytest.approx(
-            1.96 * per_trial.std(ddof=1) / np.sqrt(200), rel=1e-14)
+        assert est.half_width == (1.96 * float(per_trial.std(ddof=1))
+                                  / np.sqrt(trials))
+
+    def test_one_trial_is_its_streamed_window_mean(self, star5):
+        # numpy sums a lone trial's column pairwise, not row by row, so the
+        # estimate follows the streamed sum, not the series' mean
+        _, p = star5
+        window = averaging_window(p)
+        est = estimate_ess(p, 1.0, trials=1, master_seed=1)
+        sums = run_trials(p, 1.0, window, 1, 1, noise_model="network",
+                          stationary=True, window_sums=True)
+        assert sums.shape == (1,)
+        assert est.value == sums[0] / window
+        assert est.half_width == float("inf")
 
     @pytest.mark.parametrize("seed", [0, 9, 27])
     def test_half_width_matches_exact_variance(self, seed):
