@@ -190,11 +190,11 @@ def run_trials(p: PerronMatrix, sigmas, horizon: int, trials: int,
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     n = p.n
+    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     x0 = np.zeros(n) if xbar0 is None else np.asarray(xbar0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(
             f"xbar0 must be N = {n} numbers, got shape {x0.shape}")
-    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (n,))
     cov = noise_covariance(p, sigmas, noise_model)
     # the scale of each draw: sigma_j for the protocol law, which mixes the
     # scaled draws through the gain, and the network law's z_i directly
