@@ -92,11 +92,7 @@ def _check_agents(rows: int, agents: int) -> None:
             f"formation has {rows} anchor rows for {agents} agents")
 
 
-_TAG = "tag:yaml.org,2002:"
-_INT, _FLOAT, _SEQ = _TAG + "int", _TAG + "float", _TAG + "seq"
-_SCALARS = {_TAG + name:
-            yaml.constructor.SafeConstructor.yaml_constructors[_TAG + name]
-            for name in ("null", "bool", "int", "float", "str")}
+_SEQ = "tag:yaml.org,2002:seq"
 # the plain decimal spellings for which PyYAML's resolver gives the int or
 # float tag and its constructor the value int() or float() gives; group 1
 # is a float's fraction and exponent. 017 (octal), 1_000, 0x1F, +1, 1:30,
@@ -107,32 +103,26 @@ _DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+(?:e[-+][0-9]+)?)?")
 class _DirectScalars:
     """Loader mixin for what fills a config, flat lists of plain decimal
     numbers. Such a number is tagged without PyYAML's implicit-resolver
-    table and built by int() or float(); another scalar tagged null, bool,
-    int, float or str is built by its SafeConstructor function. A scalar
-    is an immutable leaf, so the inherited construct_object's alias and
-    recursion tables and its generator draining do nothing for it. A list
-    of scalars alone is built at once and recorded, so an aliased one
-    stays one object; every other node goes through the inherited
-    construct_object."""
+    table, and its tag is its builder, int or float: a tag a document
+    writes is a str, so no document can spell it. A scalar is an immutable
+    leaf, so the inherited construct_object's alias and recursion tables
+    and its generator draining do nothing for it. A list of scalars alone
+    is built at once and recorded, so an aliased one stays one object;
+    every other node goes through the inherited construct_object."""
 
     def resolve(self, kind, value, implicit):
         if kind is yaml.ScalarNode and implicit[0]:
             decimal = _DECIMAL.fullmatch(value)
             if decimal:
-                return _FLOAT if decimal[1] else _INT
+                return float if decimal[1] else int
         return super().resolve(kind, value, implicit)
 
     def construct_object(self, node, deep=False):
         kind = type(node)
         if kind is yaml.ScalarNode:
-            tag = node.tag
-            if tag == _INT or tag == _FLOAT:
-                decimal = _DECIMAL.fullmatch(node.value)
-                if decimal and tag == (_FLOAT if decimal[1] else _INT):
-                    return (float if decimal[1] else int)(node.value)
-            build = _SCALARS.get(tag)
-            if build is not None:
-                return build(self, node)
+            build = node.tag
+            if build is int or build is float:
+                return build(node.value)
         elif (kind is yaml.SequenceNode and node.tag == _SEQ
                 and node not in self.constructed_objects
                 and all(type(item) is yaml.ScalarNode for item in node.value)):
@@ -316,7 +306,9 @@ def load(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: "
                           f"{exc.strerror}") from None
-    except (UnicodeError, yaml.YAMLError) as exc:
+    except (ValueError, yaml.YAMLError) as exc:
+        # a ValueError is text that is not UTF-8 or a scalar that int()
+        # or datetime.date refuses (seed: 2001-02-30, say)
         raise ConfigError(f"config file {path} is not valid YAML: "
                           f"{exc}") from None
     if not isinstance(data, dict):

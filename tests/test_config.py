@@ -119,8 +119,10 @@ SPELLINGS = ("-0", "-0.0", "017", "00", "1_000", "0x1F", "0b101", "+1",
              ".nan")
 spellings = (st.sampled_from(SPELLINGS) | st.integers().map(str)
              | st.floats(allow_nan=False, allow_infinity=False).map(repr))
-# an entry written plain, quoted or with an explicit tag
-WRITINGS = ("{}", '"{}"', "'{}'", "!!int {}", "!!float {}", "!!str {}")
+# an entry written plain, quoted or with an explicit tag: shorthand, local
+# or verbatim, none of which reaches the loaders' int() and float() path
+WRITINGS = ("{}", '"{}"', "'{}'", "!!int {}", "!!float {}", "!!str {}",
+            "!int {}", "!float {}", "!<tag:yaml.org,2002:int> {}")
 
 
 @st.composite
@@ -153,9 +155,15 @@ def flow_lists(draw):
 def outcome(load, text):
     """shape() of the rows that load reads from text, with each row's
     first position among rows that are the same list; or the type and
-    message of the error it raises (an explicit !!int .5, say)."""
+    message of the error it raises (an explicit !!int .5, say), its mark
+    by line and column, since the mark's name differs between a str and a
+    stream (a local !int 5, say)."""
     try:
         rows = load(text)
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        return (type(exc).__name__, exc.context, exc.problem, mark.line,
+                mark.column)
     except (ValueError, yaml.YAMLError) as exc:
         return type(exc).__name__, str(exc)
     first = {}
@@ -256,6 +264,29 @@ def test_big_config_numbers_skip_pyyaml_number_constructors(tmp_path):
         assert functions_run(numbers,
                              lambda: read(loader, path.read_text())) == set()
     assert functions_run(numbers, lambda: config.load(path)) == set()
+
+
+# int()'s digit limit, 0 where the interpreter has none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("seed, problem", [
+    ("2001-02-30", "day is out of range for month"),
+    pytest.param("9" * 5000, "Exceeds the limit", marks=pytest.mark.skipif(
+        not 0 < DIGIT_LIMIT < 5000, reason="int() reads 5000 digits")),
+], ids=["date", "digits"])
+def test_scalar_that_cannot_be_built_names_the_file(tmp_path, seed, problem):
+    # yaml.safe_load parses these scalars but raises ValueError building
+    # them, a date or an int
+    path = tmp_path / "seed.yaml"
+    path.write_text(f"seed: {seed}\n")
+    with pytest.raises(ValueError, match=problem):
+        safe(path.read_text())
+    with pytest.raises(config.ConfigError) as info:
+        config.load(path)
+    assert str(info.value).startswith(
+        f"config file {path} is not valid YAML: ")
+    assert problem in str(info.value)
 
 
 SHARED = """\
