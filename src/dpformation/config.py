@@ -307,8 +307,8 @@ def load(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: "
                           f"{exc.strerror}") from None
     except (ValueError, yaml.YAMLError) as exc:
-        # a ValueError is text that is not UTF-8 or a scalar that int()
-        # or datetime.date refuses (seed: 2001-02-30, say)
+        # a ValueError is text that is not UTF-8 or a scalar that int(),
+        # float() or datetime.date refuses (seed: 2001-02-30, say)
         raise ConfigError(f"config file {path} is not valid YAML: "
                           f"{exc}") from None
     if not isinstance(data, dict):

@@ -155,9 +155,9 @@ def flow_lists(draw):
 def outcome(load, text):
     """shape() of the rows that load reads from text, with each row's
     first position among rows that are the same list; or the type and
-    message of the error it raises (an explicit !!int .5, say), its mark
-    by line and column, since the mark's name differs between a str and a
-    stream (a local !int 5, say)."""
+    message of the error it raises (an explicit !!int .5, say). A marked
+    error (a local !int 5) is compared by its mark's line and column, not
+    its text, which names a str and a stream differently."""
     try:
         rows = load(text)
     except yaml.MarkedYAMLError as exc:
