@@ -141,23 +141,20 @@ def epsilon_threshold_closed_form(kind: str, n: int, *, gamma: float,
                                   lambda2: float | None = None) -> float:
     """Literal evaluation of the published per-topology threshold formulas.
 
-    kind is one of impossibility, complete, cycle, line, star. The
-    impossibility form needs lambda2 explicitly; the others use the
-    closed-form spectrum of the named uniform-weight topology. These
-    expressions are reported for comparison only; see
-    epsilon_threshold_numeric for the exact inversion of the bound.
+    kind is impossibility, which needs lambda2 explicitly, or a named
+    uniform-weight topology, checked by graphs.check_topology, whose
+    closed-form spectrum the form uses. These expressions are reported
+    for comparison only; see epsilon_threshold_numeric for the exact
+    inversion of the bound.
     """
     graphs.check_positive(b, "adjacency radius b")
     graphs.check_positive(gamma, "gamma")
     graphs.check_positive(e_r, "e_r")
     k = privacy.q_inverse(delta)
-    if kind not in ("impossibility", *graphs.TOPOLOGY_KINDS):
-        raise ValueError(f"unknown threshold kind {kind!r}")
-    if kind == "impossibility":
-        if lambda2 is None:
-            raise ValueError("impossibility form requires lambda2")
-    else:
-        graphs.check_positive(w, "w")
+    if kind != "impossibility":
+        graphs.check_topology(kind, n, w)
+    elif lambda2 is None:
+        raise ValueError("impossibility form requires lambda2")
     try:
         if kind == "impossibility":
             z1 = gamma * (n - 1) ** 2 / (2.0 - gamma * lambda2)

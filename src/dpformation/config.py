@@ -207,13 +207,10 @@ def parse_graph(spec: dict, rows: int) -> WeightedGraph:
         _check_agents(rows, nodes)
         try:
             return WeightedGraph(nodes, edges)
-        except ValueError as exc:
-            if not hasattr(exc, "template"):
-                raise
+        except graphs.EdgeError as exc:
             # name the nodes as the file counts them, from 1
-            i, j, *rest = exc.values
-            text = exc.template.format(i + 1, j + 1, *rest)
-            raise ConfigError(text) from None
+            template, i, j, *rest = exc.args
+            raise ConfigError(template.format(i + 1, j + 1, *rest)) from None
     raise ConfigError("graph spec needs either 'kind' or 'nodes'")
 
 
@@ -300,6 +297,7 @@ def load(path) -> RunConfig:
     """The RunConfig in the YAML file at path; a file that cannot be read
     or parsed is a ConfigError naming the path. A privacy range warning
     names the file and the line of its privacy key."""
+    fh = None
     try:
         with open(path) as fh:
             data, privacy_line = _read(fh)
@@ -307,10 +305,12 @@ def load(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: "
                           f"{exc.strerror}") from None
     except (ValueError, yaml.YAMLError) as exc:
-        # a ValueError is text that is not UTF-8 or a scalar that int(),
+        # before fh is open, a ValueError is open() refusing a path with a
+        # NUL byte; after, text that is not UTF-8 or a scalar that int(),
         # float() or datetime.date refuses (seed: 2001-02-30, say)
-        raise ConfigError(f"config file {path} is not valid YAML: "
-                          f"{exc}") from None
+        problem = ("cannot read config file {}: {}" if fh is None
+                   else "config file {} is not valid YAML: {}")
+        raise ConfigError(problem.format(path, exc)) from None
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a mapping")
     notes = []

@@ -52,14 +52,13 @@ def check_float_agents(n: int) -> None:
         raise NumericalError(f"n = {n} agents is too large for a float")
 
 
-def _edge_error(template: str, *values) -> ValueError:
-    """ValueError(template.format(*values)) for a refused edge. The
-    template and the values, whose first two are the edge's nodes counted
-    from 0, stay on the error as data, so that a caller whose nodes are
-    counted from 1 can re-word it."""
-    exc = ValueError(template.format(*values))
-    exc.template, exc.values = template, values
-    return exc
+class EdgeError(ValueError):
+    """A refused edge. args are a message template and its values, whose
+    first two are the edge's nodes counted from 0, so that a caller whose
+    nodes are counted from 1 can re-word it; str is the message."""
+
+    def __str__(self):
+        return self.args[0].format(*self.args[1:])
 
 
 @dataclass(frozen=True)
@@ -81,15 +80,15 @@ class WeightedGraph:
         normalized = []
         for (i, j, w) in self.edges:
             if i == j:
-                raise _edge_error("self-loop on node {0}", i, j)
+                raise EdgeError("self-loop on node {0}", i, j)
             if not (0 <= i < self.n and 0 <= j < self.n):
-                raise _edge_error("edge ({0},{1}) out of range", i, j)
+                raise EdgeError("edge ({0},{1}) out of range", i, j)
             if not (math.isfinite(w) and w > 0):
-                raise _edge_error("edge ({0},{1}) has weight {2}; weights "
-                                  "must be finite and positive", i, j, w)
+                raise EdgeError("edge ({0},{1}) has weight {2}; weights "
+                                "must be finite and positive", i, j, w)
             key = (min(i, j), max(i, j))
             if key in seen:
-                raise _edge_error("duplicate edge ({0}, {1})", *key)
+                raise EdgeError("duplicate edge ({0}, {1})", *key)
             seen.add(key)
             normalized.append((key[0], key[1], float(w)))
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
@@ -150,10 +149,10 @@ _MIN_AGENTS = {"complete": 2, "cycle": 3, "line": 2, "star": 2}
 TOPOLOGY_KINDS = tuple(_MIN_AGENTS)
 
 
-def _check_topology(kind: str, n: int, w: float) -> None:
+def check_topology(kind: str, n: int, w: float) -> None:
     """Raise unless kind names a standard topology, n is enough agents for
-    it and its uniform edge weight w is positive and finite;
-    build_standard_topology and topology_lambda2 check their input here."""
+    it and its uniform edge weight w is positive and finite; every function
+    of a named topology checks its input here."""
     if kind not in _MIN_AGENTS:
         raise ValueError(f"unknown topology kind {kind!r}")
     if n < _MIN_AGENTS[kind]:
@@ -168,7 +167,7 @@ def build_standard_topology(kind: str, n: int, w: float = 1.0) -> WeightedGraph:
 
     For the star, node 0 is the hub.
     """
-    _check_topology(kind, n, w)
+    check_topology(kind, n, w)
     if kind == "complete":
         edges = [(i, j, w) for i in range(n) for j in range(i + 1, n)]
     elif kind == "cycle":
@@ -182,14 +181,14 @@ def build_standard_topology(kind: str, n: int, w: float = 1.0) -> WeightedGraph:
 
 def topology_lambda2(kind: str, n: int, w: float = 1.0) -> float:
     """Closed-form algebraic connectivity of the named uniform topologies."""
-    _check_topology(kind, n, w)
+    check_topology(kind, n, w)
     if kind == "complete":
         return w * n
     if kind == "cycle":
         return 2.0 * w * (1.0 - np.cos(2.0 * np.pi / n))
     if kind == "line":
         return 2.0 * w * (1.0 - np.cos(np.pi / n))
-    return w
+    return 2.0 * w if n == 2 else w  # a 2-node star is one edge
 
 
 @dataclass(frozen=True)

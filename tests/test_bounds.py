@@ -29,6 +29,7 @@ from dpformation import (
     threshold_cell,
     topology_lambda2,
 )
+from dpformation.graphs import check_topology
 from graph_reference import max_degree, random_connected_graph
 from mc_reference import check_interval_coverage
 from threshold_reference import brentq_epsilon_threshold
@@ -307,6 +308,18 @@ class TestClosedForms:
             epsilon_threshold_closed_form("impossibility", 10, gamma=1e-4,
                                           delta=0.01, b=5.0, w=1.0,
                                           e_r=100.0)
+
+    @pytest.mark.parametrize("kind, message", [
+        ("cycle", "a cycle topology needs n >= 3 agents, got 2"),
+        ("wheel", "unknown topology kind 'wheel'")])
+    def test_named_kind_is_checked_as_its_graph_is(self, kind, message):
+        # the published cycle form used to return 11.63 at n = 2, and an
+        # unknown kind to read "unknown threshold kind"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            epsilon_threshold_closed_form(kind, 2, gamma=1e-4, delta=0.01,
+                                          b=5.0, w=1.0, e_r=100.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_topology(kind, 2, 1.0)
 
     def test_impossibility_evaluates(self):
         val = epsilon_threshold_closed_form(

@@ -289,6 +289,15 @@ def test_scalar_that_cannot_be_built_names_the_file(tmp_path, seed, problem):
     assert problem in str(info.value)
 
 
+def test_path_with_nul_byte_cannot_be_read():
+    # open() refuses it with a ValueError, which used to read as
+    # "is not valid YAML"; the command line cannot pass a NUL byte
+    with pytest.raises(config.ConfigError) as info:
+        config.load("a\0b.yaml")
+    assert str(info.value) == (
+        "cannot read config file a\x00b.yaml: embedded null byte")
+
+
 SHARED = """\
 graph: {kind: star, n: 3, w: 1.0}
 gamma: 0.2

@@ -13,7 +13,7 @@ from dpformation import (
     topology_lambda2,
 )
 from dpformation.bounds import epsilon_threshold_numeric
-from dpformation.graphs import check_positive
+from dpformation.graphs import EdgeError, check_positive
 from dpformation.privacy import PrivacyParams
 from chain_reference import (
     bfs_is_connected,
@@ -46,6 +46,22 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="finite"):
             WeightedGraph(2, ((0, 1, w),))
 
+    @pytest.mark.parametrize("edge, message, nodes", [
+        ((1, 1, 1.0), "self-loop on node 1", (1, 1)),
+        ((0, 3, 1.0), "edge (0,3) out of range", (0, 3)),
+        ((1, 2, -0.5),
+         "edge (1,2) has weight -0.5; weights must be finite and positive",
+         (1, 2)),
+        ((1, 0, 2.0), "duplicate edge (0, 1)", (0, 1))],
+        ids=["self-loop", "out-of-range", "weight", "duplicate"])
+    def test_each_refusal_is_an_edge_error(self, edge, message, nodes):
+        # args keep the template and its values, the edge's nodes first,
+        # for a caller that counts nodes from 1
+        with pytest.raises(EdgeError) as info:
+            WeightedGraph(3, ((0, 1, 1.0), edge))
+        assert str(info.value) == message
+        assert info.value.args[1:3] == nodes
+
     def test_adjacency_symmetric(self):
         g = random_connected_graph(8, np.random.default_rng(0))
         a = g.adjacency_matrix()
@@ -72,6 +88,16 @@ class TestTopologies:
         expected = 2 * 0.7 * (1 - np.cos(np.pi / n))
         assert algebraic_connectivity(g) == pytest.approx(expected, rel=1e-10)
         assert topology_lambda2("line", n, 0.7) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("kind, n", [
+        (kind, n) for kind, least in (("complete", 2), ("cycle", 3),
+                                      ("line", 2), ("star", 2))
+        for n in range(least, 13)])
+    def test_closed_form_lambda2_is_the_built_graphs(self, kind, n):
+        # the 2-node star, one edge, used to give w in place of 2w
+        g = build_standard_topology(kind, n, 0.7)
+        assert topology_lambda2(kind, n, 0.7) == pytest.approx(
+            algebraic_connectivity(g), rel=1e-10)
 
     def test_star_hub_is_node_zero(self):
         g = build_standard_topology("star", 6, 1.0)

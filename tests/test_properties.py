@@ -7,11 +7,13 @@ plan is also checked up to gamma near 1 / d_max, where P has negative
 eigenvalues.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpformation import (
     PrivacyParams,
+    WeightedGraph,
     averaging_window,
     build_perron,
     corollary1_bound,
@@ -72,6 +74,26 @@ def test_oracle_below_theorem1_bound(cfg):
     _, p, params, sigmas = cfg
     cov = noise_covariance(p, sigmas, "network")
     assert exact_ess_oracle(p, cov) <= theorem1_bound(p, params) * (1 + 1e-12)
+
+
+@SETTINGS
+@given(configs(), st.floats(0.03, 30.0))
+def test_rescaling_weights_and_step_leaves_ess_unchanged(cfg, c):
+    # every weight times c and gamma over c leave P = I - gamma L and the
+    # noise gain, so the exact e_ss under both noise laws and the Kemeny
+    # sandwich stay; the bound in lambda2 alone scales by 1/c^2 instead
+    # (ROADMAP item 1)
+    g, p, _, sigmas = cfg
+    scaled = build_perron(WeightedGraph(g.n, tuple(
+        (i, j, c * w) for i, j, w in g.edges)), p.gamma / c)
+    for model in ("protocol", "network"):
+        cov, cov_scaled = (noise_covariance(q, sigmas, model)
+                           for q in (p, scaled))
+        assert exact_ess_oracle(scaled, cov_scaled) == pytest.approx(
+            exact_ess_oracle(p, cov), rel=1e-12), model
+    # the sandwich is of the network law, the loop's last
+    assert lemma7_sandwich(scaled, np.diag(cov_scaled)) == pytest.approx(
+        lemma7_sandwich(p, np.diag(cov)), rel=1e-12)
 
 
 @SETTINGS
